@@ -29,7 +29,9 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let plan = SweepPlan::new(42).pods(pods.clone()).horizon_secs(duration);
+    let plan = SweepPlan::new(42)
+        .topologies(pods.clone())
+        .horizon_secs(duration);
     let n_runs = plan.expand().len();
 
     println!("== Sweep-engine scaling: fig3 suite across worker counts ==");

@@ -129,17 +129,12 @@ pub fn try_single_k(
     Ok(k)
 }
 
-/// Parses `[k] [prefix_count]` — an optional pod count then an optional
-/// synthetic-table size (`table_scale`).
-pub fn try_k_then_prefixes(
+/// Parses `[prefix_count]` — at most one synthetic-table size
+/// (`table_scale`).
+pub fn try_prefix_count(
     mut args: impl Iterator<Item = String>,
-    default_k: usize,
     default_prefixes: usize,
-) -> Result<(usize, usize), String> {
-    let k = match args.next() {
-        None => default_k,
-        Some(a) => parse_pod_count(&a)?,
-    };
+) -> Result<usize, String> {
     let prefixes = match args.next() {
         None => default_prefixes,
         Some(a) => parse_prefix_count(&a)?,
@@ -147,7 +142,7 @@ pub fn try_k_then_prefixes(
     if let Some(extra) = args.next() {
         return Err(format!("unexpected extra argument {extra:?}"));
     }
-    Ok((k, prefixes))
+    Ok(prefixes)
 }
 
 fn parse_prefix_count(arg: &str) -> Result<usize, String> {
@@ -213,9 +208,9 @@ pub fn single_k(usage: &str, default_k: usize) -> usize {
     try_single_k(std::env::args().skip(1), default_k).unwrap_or_else(|e| usage_exit(usage, &e))
 }
 
-/// [`try_k_then_prefixes`] over the real argv; exits 2 on failure.
-pub fn k_then_prefixes(usage: &str, default_k: usize, default_prefixes: usize) -> (usize, usize) {
-    try_k_then_prefixes(std::env::args().skip(1), default_k, default_prefixes)
+/// [`try_prefix_count`] over the real argv; exits 2 on failure.
+pub fn prefix_count(usage: &str, default_prefixes: usize) -> usize {
+    try_prefix_count(std::env::args().skip(1), default_prefixes)
         .unwrap_or_else(|e| usage_exit(usage, &e))
 }
 
@@ -278,24 +273,18 @@ mod tests {
         assert!(e.contains("even k"), "{e}");
         let e = try_single_k(argv(&["8", "10"]), 8).unwrap_err();
         assert!(e.contains("unexpected extra argument \"10\""), "{e}");
-        let e = try_k_then_prefixes(argv(&["8", "lots"]), 8, 1000).unwrap_err();
+        let e = try_prefix_count(argv(&["lots"]), 1000).unwrap_err();
         assert!(e.contains("invalid prefix count \"lots\""), "{e}");
-        let e = try_k_then_prefixes(argv(&["8", "0"]), 8, 1000).unwrap_err();
+        let e = try_prefix_count(argv(&["0"]), 1000).unwrap_err();
         assert!(e.contains("must be ≥ 1"), "{e}");
-        let e = try_k_then_prefixes(argv(&["8", "10", "2"]), 8, 1000).unwrap_err();
+        let e = try_prefix_count(argv(&["10", "2"]), 1000).unwrap_err();
         assert!(e.contains("unexpected extra argument \"2\""), "{e}");
-        let e = try_k_then_prefixes(argv(&["9"]), 8, 1000).unwrap_err();
-        assert!(e.contains("even k"), "{e}");
     }
 
     #[test]
-    fn k_then_prefixes_defaults_and_overrides() {
-        assert_eq!(try_k_then_prefixes(argv(&[]), 16, 4096), Ok((16, 4096)));
-        assert_eq!(try_k_then_prefixes(argv(&["8"]), 16, 4096), Ok((8, 4096)));
-        assert_eq!(
-            try_k_then_prefixes(argv(&["8", "100000"]), 16, 4096),
-            Ok((8, 100_000))
-        );
+    fn prefix_count_defaults_and_overrides() {
+        assert_eq!(try_prefix_count(argv(&[]), 4096), Ok(4096));
+        assert_eq!(try_prefix_count(argv(&["100000"]), 4096), Ok(100_000));
     }
 
     #[test]

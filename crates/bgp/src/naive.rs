@@ -1,4 +1,5 @@
-//! The pre-index RIB, preserved as a reference model.
+//! The pre-index RIB, preserved as the one reference model for
+//! [`crate::rib::LocRib`].
 //!
 //! This is the [`crate::rib`] implementation as it stood before the
 //! route-churn fast path (attribute interning, inverted candidate index,
@@ -7,8 +8,9 @@
 //! **not** used by the speaker — it exists so that
 //!
 //! * the differential proptest (`tests/prop_rib_differential.rs`) can drive
-//!   randomized announce/withdraw/flap sequences through both models and
-//!   assert identical decisions and affected-sets, and
+//!   randomized announce/withdraw/flap sequences through it and the
+//!   compact-id [`crate::rib::LocRib`] and assert identical decisions,
+//!   next hops and affected-sets, and
 //! * the `rib_churn` bench can replay a recorded convergence trace against
 //!   the old cost model with honest work counters (the same role
 //!   `PumpMode::FullPoll` plays for the readiness pump).

@@ -44,10 +44,9 @@
 //! determinism-sensitive consumer (affected-sets, the live prefix index)
 //! therefore returns id slices sorted by *value* via the interner's
 //! monotone sort key, so downstream iteration order — and hence wire
-//! bytes — is identical to the address-keyed implementation. That
-//! implementation survives as [`crate::btree::BtreeRib`] (and the
-//! pre-PR 4 model as [`crate::naive`]); the three are driven in lockstep
-//! by `tests/prop_rib_differential.rs`.
+//! bytes — is identical to the address-keyed implementation it replaced.
+//! The one reference model is [`crate::naive::NaiveRib`];
+//! `tests/prop_rib_differential.rs` drives both in lockstep.
 
 use crate::msg::{Origin, PathAttributes, UpdateMsg};
 use horse_net::addr::Ipv4Prefix;
@@ -93,8 +92,6 @@ pub struct AttrStore {
     metas: Vec<AttrMeta>,
     /// Distinct sets created (cache misses).
     interns: u64,
-    /// Deep clones avoided (cache hits).
-    reuses: u64,
 }
 
 impl AttrStore {
@@ -102,7 +99,6 @@ impl AttrStore {
     /// miss.
     pub fn intern(&mut self, attrs: &Arc<PathAttributes>) -> AttrId {
         if let Some(id) = self.ids.get(&**attrs) {
-            self.reuses += 1;
             return *id;
         }
         self.insert_new(Arc::clone(attrs))
@@ -111,7 +107,6 @@ impl AttrStore {
     /// Interns an owned attribute set (allocates the `Arc` only on a miss).
     pub fn intern_owned(&mut self, attrs: PathAttributes) -> AttrId {
         if let Some(id) = self.ids.get(&attrs) {
-            self.reuses += 1;
             return *id;
         }
         self.insert_new(Arc::new(attrs))
@@ -151,11 +146,6 @@ impl AttrStore {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.metas.is_empty()
-    }
-
-    /// `(interns, reuses)` — distinct sets created vs deep clones avoided.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.interns, self.reuses)
     }
 
     /// Rough heap footprint of the store: canonical attribute allocations

@@ -16,18 +16,15 @@
 //! | `HORSE_RUN_MIN_SPEEDUP` | [`RunConfig::run_min_speedup`] | `table_scale` intra-run parallel wall-ratio gate (multi-core only) |
 //! | `HORSE_RESULTS_DIR` | [`RunConfig::results_dir`] | Bench output directory |
 //! | `HORSE_RIB_MIN_SPEEDUP` | [`RunConfig::rib_min_speedup`] | `rib_churn` wall-ratio gate |
-//! | `HORSE_TABLE_MIN_SPEEDUP` | [`RunConfig::table_min_speedup`] | `table_scale` wall-ratio gate |
 //! | `HORSE_SWEEP_MIN_SPEEDUP` | [`RunConfig::sweep_min_speedup`] | `sweep_scaling` gate |
 //! | `HORSE_FLOW_MIN_SPEEDUP` | [`RunConfig::flow_min_speedup`] | `flow_scale` wall-ratio gate (multi-core only) |
 //! | `HORSE_TRACE_MAX_OVERHEAD` | [`RunConfig::trace_max_overhead`] | Tracing overhead gate (`rib_churn`) |
-//! | `HORSE_PUMP_MODE` | [`RunConfig::pump_mode`] | `readiness` (default) or `fullpoll` |
 //! | `HORSE_TRACE` | [`RunConfig::trace`]`.enabled` | Enable structured tracing |
 //! | `HORSE_TRACE_CAPACITY` | [`RunConfig::trace`]`.capacity` | Per-component ring capacity |
 //! | `HORSE_CHECKPOINT_DIR` | [`RunConfig::checkpoint_dir`] | Sweep checkpoint directory (unset = results dir) |
 //! | `HORSE_SWEEP_MAX_RUNS` | [`RunConfig::sweep_max_runs`] | Cap runs per invocation (resume smoke / staged campaigns) |
 //! | `HORSE_RETRY_FAILED` | [`RunConfig::retry_failed`] | Re-run checkpointed `failed` records (`1`/`true`) |
 
-use crate::control::PumpMode;
 use horse_trace::TraceOptions;
 use std::path::PathBuf;
 
@@ -54,9 +51,6 @@ pub struct RunConfig {
     pub results_dir: PathBuf,
     /// Minimum wall speedup `rib_churn` must demonstrate, if gating.
     pub rib_min_speedup: Option<f64>,
-    /// Minimum decide-path wall speedup `table_scale` must demonstrate
-    /// (compact-id RIB vs the address-keyed baseline), if gating.
-    pub table_min_speedup: Option<f64>,
     /// Minimum parallel speedup `sweep_scaling` must demonstrate.
     pub sweep_min_speedup: Option<f64>,
     /// Minimum wall speedup `flow_scale` must demonstrate (arena flow
@@ -73,8 +67,6 @@ pub struct RunConfig {
     /// unmeasurable). Bounding the *enabled* cost bounds the disabled
     /// (null-sink) path a fortiori.
     pub trace_max_overhead: Option<f64>,
-    /// Control-plane pump scheduling mode.
-    pub pump_mode: PumpMode,
     /// Structured-tracing options for traced runs.
     pub trace: TraceOptions,
     /// Directory for sweep checkpoint files (`sweep-<plan_hash>.jsonl`);
@@ -100,11 +92,9 @@ impl Default for RunConfig {
             run_min_speedup: None,
             results_dir: PathBuf::from("bench_results"),
             rib_min_speedup: None,
-            table_min_speedup: None,
             sweep_min_speedup: None,
             flow_min_speedup: None,
             trace_max_overhead: None,
-            pump_mode: PumpMode::Readiness,
             trace: TraceOptions::default(),
             checkpoint_dir: None,
             sweep_max_runs: None,
@@ -144,14 +134,6 @@ impl RunConfig {
                     .unwrap_or_else(|_| panic!("{key} must be a number, got {s:?}"))
             })
         };
-        let pump_mode = match get("HORSE_PUMP_MODE").as_deref().map(str::trim) {
-            None => PumpMode::Readiness,
-            Some("readiness") => PumpMode::Readiness,
-            Some("fullpoll") => PumpMode::FullPoll,
-            Some(other) => {
-                panic!("HORSE_PUMP_MODE must be \"readiness\" or \"fullpoll\", got {other:?}")
-            }
-        };
         let flag = |key: &str| match get(key).as_deref().map(str::trim) {
             None | Some("0") | Some("false") | Some("") => false,
             Some("1") | Some("true") => true,
@@ -179,11 +161,9 @@ impl RunConfig {
             run_min_speedup: float("HORSE_RUN_MIN_SPEEDUP"),
             results_dir,
             rib_min_speedup: float("HORSE_RIB_MIN_SPEEDUP"),
-            table_min_speedup: float("HORSE_TABLE_MIN_SPEEDUP"),
             sweep_min_speedup: float("HORSE_SWEEP_MIN_SPEEDUP"),
             flow_min_speedup: float("HORSE_FLOW_MIN_SPEEDUP"),
             trace_max_overhead: float("HORSE_TRACE_MAX_OVERHEAD"),
-            pump_mode,
             trace,
             checkpoint_dir: get("HORSE_CHECKPOINT_DIR").map(PathBuf::from),
             sweep_max_runs,
@@ -238,11 +218,9 @@ mod tests {
             ("HORSE_RUN_MIN_SPEEDUP", "3"),
             ("HORSE_RESULTS_DIR", "/tmp/out"),
             ("HORSE_RIB_MIN_SPEEDUP", "1.5"),
-            ("HORSE_TABLE_MIN_SPEEDUP", "2"),
             ("HORSE_SWEEP_MIN_SPEEDUP", "3"),
             ("HORSE_FLOW_MIN_SPEEDUP", "1.2"),
             ("HORSE_TRACE_MAX_OVERHEAD", "0.02"),
-            ("HORSE_PUMP_MODE", "fullpoll"),
             ("HORSE_TRACE", "1"),
             ("HORSE_TRACE_CAPACITY", "1024"),
             ("HORSE_CHECKPOINT_DIR", "/tmp/ckpt"),
@@ -256,11 +234,9 @@ mod tests {
         assert_eq!(cfg.run_min_speedup, Some(3.0));
         assert_eq!(cfg.results_dir, PathBuf::from("/tmp/out"));
         assert_eq!(cfg.rib_min_speedup, Some(1.5));
-        assert_eq!(cfg.table_min_speedup, Some(2.0));
         assert_eq!(cfg.sweep_min_speedup, Some(3.0));
         assert_eq!(cfg.flow_min_speedup, Some(1.2));
         assert_eq!(cfg.trace_max_overhead, Some(0.02));
-        assert_eq!(cfg.pump_mode, PumpMode::FullPoll);
         assert!(cfg.trace.enabled);
         assert_eq!(cfg.trace.capacity, 1024);
         assert_eq!(cfg.checkpoint_dir, Some(PathBuf::from("/tmp/ckpt")));
@@ -331,12 +307,6 @@ mod tests {
     #[should_panic(expected = "HORSE_THREADS must be a positive integer")]
     fn zero_threads_panics() {
         let _ = RunConfig::from_lookup(lookup(&[("HORSE_THREADS", "0")]));
-    }
-
-    #[test]
-    #[should_panic(expected = "HORSE_PUMP_MODE")]
-    fn bad_pump_mode_panics() {
-        let _ = RunConfig::from_lookup(lookup(&[("HORSE_PUMP_MODE", "sometimes")]));
     }
 
     #[test]

@@ -490,9 +490,11 @@ impl ExperimentReport {
             for (name, pts) in series {
                 let pts = pts.as_array().ok_or("bad series")?;
                 for p in pts {
-                    let p = p.as_array().ok_or("bad point")?;
-                    let t = p[0].as_u64().ok_or("bad point time")?;
-                    let val = p[1].as_f64().ok_or("bad point value")?;
+                    let [t, val] = p.as_array().ok_or("bad point")? else {
+                        return Err("bad point".into());
+                    };
+                    let t = t.as_u64().ok_or("bad point time")?;
+                    let val = val.as_f64().ok_or("bad point value")?;
                     goodput.push(name, SimTime::from_nanos(t), val);
                 }
             }
@@ -502,9 +504,11 @@ impl ExperimentReport {
 
         let mut transitions = Vec::new();
         for tr in field("transitions")?.as_array().ok_or("bad transitions")? {
-            let tr = tr.as_array().ok_or("bad transition")?;
-            let at = SimTime::from_nanos(tr[0].as_u64().ok_or("bad transition time")?);
-            let mode = match tr[1].as_str() {
+            let [at, mode] = tr.as_array().ok_or("bad transition")? else {
+                return Err("bad transition".into());
+            };
+            let at = SimTime::from_nanos(at.as_u64().ok_or("bad transition time")?);
+            let mode = match mode.as_str() {
                 Some("DES") => ClockMode::Des,
                 Some("FTI") => ClockMode::Fti,
                 other => return Err(format!("bad transition mode {other:?}")),
@@ -514,10 +518,12 @@ impl ExperimentReport {
 
         let mut completions = Vec::new();
         for c in field("completions")?.as_array().ok_or("bad completions")? {
-            let c = c.as_array().ok_or("bad completion")?;
+            let [id, t] = c.as_array().ok_or("bad completion")? else {
+                return Err("bad completion".into());
+            };
             completions.push((
-                FlowId(c[0].as_u64().ok_or("bad completion id")?),
-                SimTime::from_nanos(c[1].as_u64().ok_or("bad completion time")?),
+                FlowId(id.as_u64().ok_or("bad completion id")?),
+                SimTime::from_nanos(t.as_u64().ok_or("bad completion time")?),
             ));
         }
 
@@ -701,5 +707,30 @@ mod tests {
         let legacy = sample_report().semantic_json();
         let parsed = ExperimentReport::from_json(&legacy).expect("parse");
         assert_eq!(parsed.trace, TraceSummary::default());
+    }
+
+    #[test]
+    fn short_arrays_are_errors_not_panics() {
+        let mut r = sample_report();
+        r.goodput.push("g", SimTime::ZERO, 1.0);
+        r.completions.push((FlowId(7), SimTime::from_nanos(9)));
+        let json = r.to_json();
+        assert!(ExperimentReport::from_json(&json).is_ok());
+        for (whole, short, what) in [
+            (
+                format!("[[0, {}]]", json_f64(1.0)),
+                "[[0]]",
+                "goodput point",
+            ),
+            ("[[0, \"DES\"]]".to_string(), "[[0]]", "transition"),
+            ("[[7, 9]]".to_string(), "[[7]]", "completion"),
+        ] {
+            assert!(json.contains(&whole), "{what} not found in {json}");
+            let bad = json.replacen(&whole, short, 1);
+            assert!(
+                ExperimentReport::from_json(&bad).is_err(),
+                "short {what} must be rejected"
+            );
+        }
     }
 }

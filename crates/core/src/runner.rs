@@ -222,11 +222,6 @@ impl Runner {
         }
     }
 
-    /// Selects the pump scheduling mode (call before [`Runner::run`]).
-    pub fn set_pump_mode(&mut self, mode: crate::control::PumpMode) {
-        self.control.set_pump_mode(mode);
-    }
-
     /// Sets the intra-run drain worker count (call before [`Runner::run`];
     /// 1 = serial pump, the default).
     pub fn set_run_threads(&mut self, threads: usize) {

@@ -5,7 +5,7 @@
 //! `BTreeMap`, link membership in `HashMap<DirLink, BTreeSet<FlowId>>`,
 //! eager per-flow byte accrual in `advance`, and a full scan of every
 //! bounded flow in `next_completion`. It is kept as a separate type (the
-//! PR 4/7 `naive`/`BtreeRib` pattern) so property tests and the
+//! pattern of `horse_bgp::naive`) so property tests and the
 //! `flow_scale` bench can replay identical flow-churn traces through both
 //! shapes and assert identical rate allocations while counting how much
 //! per-event work each shape does.

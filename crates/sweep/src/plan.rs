@@ -20,7 +20,7 @@ use crate::checkpoint::{
 };
 use crate::pool::{self, RunResult};
 use crate::seed::derive_seed;
-use horse_core::{ControlBuild, Experiment, ExperimentReport, PumpMode, RunConfig, TeApproach};
+use horse_core::{ControlBuild, Experiment, ExperimentReport, RunConfig, TeApproach};
 use horse_net::topology::LinkId;
 use horse_sim::{Pacing, SimDuration, SimTime};
 use horse_stats::{json_string, SweepStats};
@@ -248,7 +248,6 @@ pub struct SweepPlan {
     horizon: SimTime,
     pacing: Pacing,
     sample_interval: SimDuration,
-    pump_mode: PumpMode,
     run_threads: usize,
     trace: TraceOptions,
 }
@@ -269,7 +268,6 @@ impl SweepPlan {
             horizon: SimTime::from_secs(20),
             pacing: Pacing::Virtual,
             sample_interval: SimDuration::from_millis(100),
-            pump_mode: PumpMode::default(),
             run_threads: 1,
             trace: TraceOptions::default(),
         }
@@ -286,12 +284,6 @@ impl SweepPlan {
         self.topologies = specs.into_iter().map(Into::into).collect();
         assert!(!self.topologies.is_empty(), "empty topology axis");
         self
-    }
-
-    /// Fat-tree pod counts to sweep — compat shim over
-    /// [`SweepPlan::topologies`] for the pre-spec API.
-    pub fn pods(self, pods: impl IntoIterator<Item = usize>) -> SweepPlan {
-        self.topologies(pods)
     }
 
     /// BGP policy scenarios to sweep (default: baseline only, which adds
@@ -349,17 +341,11 @@ impl SweepPlan {
         self
     }
 
-    /// Pump scheduling mode for every run.
-    pub fn pump_mode(mut self, mode: PumpMode) -> SweepPlan {
-        self.pump_mode = mode;
-        self
-    }
-
     /// Intra-run drain workers for every run's BGP pump (1 = serial, the
     /// default). Composes with sweep workers: each run spawns its own
     /// scoped drain pool per round, so `threads × run_threads` cores are
     /// busy at the barrier and nested pools cannot deadlock. Like
-    /// [`SweepPlan::pump_mode`], this is execution-only — reports and
+    /// [`SweepPlan::pacing`], this is execution-only — reports and
     /// traces stay byte-identical at any setting.
     pub fn run_threads(mut self, threads: usize) -> SweepPlan {
         self.run_threads = threads.max(1);
@@ -415,7 +401,6 @@ impl SweepPlan {
             .fti(spec.fti.0, spec.fti.1)
             .pacing(self.pacing)
             .sample_every(self.sample_interval)
-            .pump_mode(self.pump_mode)
             .run_threads(self.run_threads)
             .trace(self.trace)
             .label(spec.label());
@@ -474,12 +459,11 @@ impl SweepPlan {
         SweepOutcome { runs, stats }
     }
 
-    /// Runs the plan under a [`RunConfig`]: worker count, pump mode and
+    /// Runs the plan under a [`RunConfig`]: worker count, run threads and
     /// trace options all come from the config (the one `HORSE_*` parse
     /// point) instead of per-call arguments.
     pub fn execute_with(&self, cfg: &RunConfig) -> SweepOutcome {
         self.clone()
-            .pump_mode(cfg.pump_mode)
             .run_threads(cfg.run_threads())
             .trace(cfg.trace)
             .execute(cfg.threads())
@@ -499,7 +483,7 @@ impl SweepPlan {
     /// A stable 64-bit fingerprint of everything that determines the
     /// plan's *semantic* output: base seed, every grid axis, replicates,
     /// horizon, and sampling interval. Execution-only settings — pacing,
-    /// pump mode, tracing, worker count — are deliberately excluded:
+    /// run threads, tracing, worker count — are deliberately excluded:
     /// they change wall time, never the semantic reports (the pump and
     /// trace determinism tests pin that), so a checkpoint written under
     /// one of them is safe to resume under another.
@@ -606,13 +590,12 @@ impl SweepPlan {
     }
 
     /// [`SweepPlan::execute_checkpointed`] wired to a [`RunConfig`]:
-    /// worker count, pump mode, trace options, checkpoint directory
+    /// worker count, run threads, trace options, checkpoint directory
     /// (`HORSE_CHECKPOINT_DIR`, falling back to the results dir), run cap
     /// (`HORSE_SWEEP_MAX_RUNS`), and failure retry (`HORSE_RETRY_FAILED`)
     /// all come from the one `HORSE_*` parse point.
     pub fn execute_resumable(&self, cfg: &RunConfig) -> Result<CheckpointedSweep, CheckpointError> {
         self.clone()
-            .pump_mode(cfg.pump_mode)
             .run_threads(cfg.run_threads())
             .trace(cfg.trace)
             .execute_checkpointed(cfg.threads(), &CheckpointOptions::from_config(cfg))
@@ -711,7 +694,7 @@ mod tests {
     #[test]
     fn expansion_is_deterministic_and_indexed() {
         let plan = SweepPlan::new(42)
-            .pods([4, 6])
+            .topologies([4, 6])
             .approaches([TeApproach::BgpEcmp, TeApproach::SdnEcmp])
             .replicates(3);
         let a = plan.expand();
@@ -730,7 +713,7 @@ mod tests {
     #[test]
     fn labels_are_unique() {
         let plan = SweepPlan::new(1)
-            .pods([4])
+            .topologies([4])
             .ftis([
                 (SimDuration::from_millis(1), SimDuration::from_millis(100)),
                 (SimDuration::from_millis(10), SimDuration::from_millis(100)),
@@ -806,11 +789,14 @@ mod tests {
 
     #[test]
     fn plan_hash_tracks_semantic_axes_only() {
-        let base = || SweepPlan::new(42).pods([4]).replicates(2);
+        let base = || SweepPlan::new(42).topologies([4]).replicates(2);
         let h = base().plan_hash();
         assert_eq!(h, base().plan_hash(), "hash must be stable");
-        assert_ne!(h, SweepPlan::new(43).pods([4]).replicates(2).plan_hash());
-        assert_ne!(h, base().pods([4, 6]).plan_hash());
+        assert_ne!(
+            h,
+            SweepPlan::new(43).topologies([4]).replicates(2).plan_hash()
+        );
+        assert_ne!(h, base().topologies([4, 6]).plan_hash());
         assert_ne!(h, base().replicates(3).plan_hash());
         assert_ne!(h, base().horizon_secs(33.0).plan_hash());
         assert_ne!(
@@ -840,7 +826,6 @@ mod tests {
         // Execution-only settings leave the hash (and hence the
         // checkpoint file) alone: a resume may legally change them.
         assert_eq!(h, base().pacing(Pacing::real_time()).plan_hash());
-        assert_eq!(h, base().pump_mode(PumpMode::FullPoll).plan_hash());
         assert_eq!(h, base().run_threads(4).plan_hash());
         assert_eq!(h, base().trace(TraceOptions::enabled()).plan_hash());
     }
@@ -852,10 +837,10 @@ mod tests {
     /// fix the canonicalization instead.
     #[test]
     fn plan_hash_is_backward_compatible_with_pods_plans() {
-        let a = SweepPlan::new(42).pods([4, 6]).replicates(2);
+        let a = SweepPlan::new(42).topologies([4, 6]).replicates(2);
         assert_eq!(a.plan_hash(), 0x677fa3a792e860f8);
         let b = SweepPlan::new(7)
-            .pods([4])
+            .topologies([4])
             .approaches([TeApproach::BgpEcmp])
             .ftis([(SimDuration::from_millis(1), SimDuration::from_millis(100))])
             .failures([
@@ -872,7 +857,7 @@ mod tests {
             a.plan_hash(),
             a.clone().policies([PolicyScenario::Baseline]).plan_hash()
         );
-        // And the topologies() spelling of a pods() plan is the same plan.
+        // And the spec spelling of a pod-count plan is the same plan.
         assert_eq!(
             a.plan_hash(),
             a.clone()

@@ -1,7 +1,8 @@
 //! The readiness-driven pump is a pure cost optimization: for any seed,
 //! its report must be byte-identical (modulo wall time and the pump's own
 //! cost counters) to the legacy poll-every-node pump's — on BGP and SDN
-//! control planes, with rule expiry, and through link failures.
+//! control planes, on hostless zoo WANs, with rule expiry, and through
+//! link failures.
 //!
 //! The same contract covers intra-run parallelism: sharding a round's
 //! drain across `run_threads` workers must leave the semantic report
@@ -12,7 +13,7 @@ use horse::sim::{SimDuration, SimTime};
 use horse::topo::bgp_setups_for;
 use horse::topo::fattree::{FatTree, SwitchRole};
 use horse::topo::pattern::demo_tuple;
-use horse::{ControlBuild, Experiment, PumpMode, TeApproach};
+use horse::{ControlBuild, Experiment, PumpMode, TeApproach, TopologySpec};
 
 const G: f64 = 1e9;
 
@@ -66,6 +67,23 @@ fn hedera_demo_matches_full_poll() {
     // Hedera's 5 s stats polls exercise the request/reply drain path.
     let (ready, polled) =
         both_modes(|| Experiment::demo(4, TeApproach::Hedera, 42).horizon_secs(12.0));
+    assert!(ready.pump_nodes_touched < polled.pump_nodes_touched);
+}
+
+#[test]
+fn hostless_zoo_wan_matches_full_poll() {
+    // A control-only WAN: no hosts, no flows, BGP under `wan_timers`
+    // (100 ms MRAI, no keepalives) — the path every zoo sweep run takes.
+    let (ready, polled) = both_modes(|| {
+        Experiment::for_spec(
+            TopologySpec::Zoo {
+                name: "Abilene".into(),
+            },
+            TeApproach::BgpEcmp,
+            42,
+        )
+    });
+    assert_eq!(ready.pump_steps, polled.pump_steps);
     assert!(ready.pump_nodes_touched < polled.pump_nodes_touched);
 }
 
@@ -183,7 +201,7 @@ fn nested_sweep_and_run_pools_compose_without_reordering() {
     use horse::sweep::SweepPlan;
     let plan = |run_threads: usize| {
         SweepPlan::new(42)
-            .pods([4])
+            .topologies([4])
             .approaches([TeApproach::BgpEcmp])
             .replicates(2)
             .horizon_secs(2.0)

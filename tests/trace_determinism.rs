@@ -39,7 +39,7 @@ fn same_seed_gives_byte_identical_trace_exports() {
 fn sweep_traces_are_identical_across_worker_counts() {
     use horse::sweep::SweepPlan;
     let plan = SweepPlan::new(42)
-        .pods([4])
+        .topologies([4])
         .approaches([TeApproach::SdnEcmp, TeApproach::BgpEcmp])
         .horizon_secs(2.0)
         .trace(TraceOptions::enabled());
@@ -100,7 +100,7 @@ fn sweep_traces_survive_nested_run_parallelism() {
     use horse::sweep::SweepPlan;
     let plan = |run_threads: usize| {
         SweepPlan::new(42)
-            .pods([4])
+            .topologies([4])
             .approaches([TeApproach::BgpEcmp])
             .replicates(2)
             .horizon_secs(2.0)
