@@ -10,9 +10,6 @@
 //! | `ablation_fti` | A1/A2 — FTI increment & quiescence sweeps |
 //! | `ablation_fluid` | A3 — fluid vs packet-level data plane |
 //!
-//! plus `benches/micro.rs`, the Criterion micro-benchmarks over the hot
-//! data structures.
-//!
 //! Every binary prints a human-readable table and writes JSON/CSV into
 //! `bench_results/` at the workspace root.
 

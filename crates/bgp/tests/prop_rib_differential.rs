@@ -27,7 +27,7 @@ const LOCAL_AS: u16 = 64512;
 /// session property, as it is in the speaker.
 fn peer(idx: usize) -> (Ipv4Addr, bool) {
     let addr = Ipv4Addr::new(192, 0, 2, (idx as u8 % 4) + 1);
-    (addr, idx % 2 == 0)
+    (addr, idx.is_multiple_of(2))
 }
 
 fn prefix(idx: usize) -> Ipv4Prefix {

@@ -54,7 +54,7 @@ pub fn reset_peak_rss() -> bool {
 
 /// Everything a finished experiment reports — the inputs for the demo's
 /// goodput graph (per TE approach) and for Figure 3's execution times.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentReport {
     /// Scenario label (e.g. `"sdn-ecmp-k4"`).
     pub label: String,
@@ -161,6 +161,70 @@ pub struct ExperimentReport {
     pub trace: TraceSummary,
 }
 
+/// Declares the report's cost counters once, as `"json_key" => field`, in
+/// the order [`ExperimentReport::to_json`] writes them after
+/// `scheduler_moves`. The JSON writer, [`ExperimentReport::from_json`] and
+/// [`ExperimentReport::semantic_json`] (which prints them as zero) all run
+/// off this table. A cost counter measures *how hard the engine worked*
+/// (pump effort, solver and RIB caching, memory shape, trace volume);
+/// anything describing *what the experiment computed* does not belong
+/// here, because semantic comparisons ignore every listed counter. A field
+/// left out of the table is not written at all.
+macro_rules! cost_counters {
+    ($($key:literal => $($field:ident).+,)+) => {
+        /// Number of entries in the cost-counter table.
+        const COST_COUNTERS: usize = [$($key),+].len();
+
+        impl ExperimentReport {
+            /// Every cost counter with its JSON key, in JSON order.
+            fn cost_counters(&self) -> [(&'static str, u64); COST_COUNTERS] {
+                [$(($key, self.$($field).+)),+]
+            }
+
+            /// Every cost counter's slot, keyed as in [`Self::cost_counters`].
+            fn cost_counter_slots(&mut self) -> [(&'static str, &mut u64); COST_COUNTERS] {
+                [$(($key, &mut self.$($field).+)),+]
+            }
+        }
+    };
+}
+
+cost_counters! {
+    "pump_steps" => pump_steps,
+    "pump_nodes_total" => pump_nodes_total,
+    "pump_nodes_touched" => pump_nodes_touched,
+    "pump_table_scans" => pump_table_scans,
+    "pump_run_threads" => pump_run_threads,
+    "pump_parallel_rounds" => pump_parallel_rounds,
+    "pump_parallel_nodes" => pump_parallel_nodes,
+    "fluid_solves" => fluid_solves,
+    "fluid_seed_dlinks" => fluid_seed_dlinks,
+    "fluid_flows_touched" => fluid_flows_touched,
+    "fluid_scratch_reuses" => fluid_scratch_reuses,
+    "fluid_heap_pushes" => fluid_heap_pushes,
+    "fluid_heap_stale_pops" => fluid_heap_stale_pops,
+    "fluid_parallel_rounds" => fluid_parallel_rounds,
+    "fluid_parallel_components" => fluid_parallel_components,
+    "rib_decide_calls" => rib_decide_calls,
+    "rib_decide_cache_hits" => rib_decide_cache_hits,
+    "rib_invalidations" => rib_invalidations,
+    "rib_candidate_touches" => rib_candidate_touches,
+    "rib_attr_interns" => rib_attr_interns,
+    "rib_attr_reuses" => rib_attr_reuses,
+    "rib_attr_store_peak" => rib_attr_store_peak,
+    "rib_export_cache_hits" => rib_export_cache_hits,
+    "rib_export_cache_misses" => rib_export_cache_misses,
+    "mem_peak_rss_bytes" => mem_peak_rss_bytes,
+    "mem_prefix_ids" => mem_prefix_ids,
+    "mem_peer_ids" => mem_peer_ids,
+    "mem_attr_entries" => mem_attr_entries,
+    "mem_attr_bytes_est" => mem_attr_bytes_est,
+    "trace_events" => trace.events,
+    "trace_dropped" => trace.dropped,
+    "trace_fti_attributed_ns" => trace.fti_attributed_ns,
+    "trace_conversations" => trace.conversations,
+}
+
 impl ExperimentReport {
     /// Time-weighted mean of the aggregate goodput, bits/s.
     pub fn goodput_mean_bps(&self) -> f64 {
@@ -233,7 +297,21 @@ impl ExperimentReport {
     /// JSON dump for the bench harnesses. Times are nanosecond integers so
     /// [`ExperimentReport::from_json`] round-trips exactly.
     pub fn to_json(&self) -> String {
+        self.write_json(false)
+    }
+
+    /// JSON with cost-only fields (wall times and every `cost_counters!`
+    /// entry) zeroed — two runs are semantically identical iff these
+    /// strings are byte-identical, regardless of how the pump was scheduled.
+    pub fn semantic_json(&self) -> String {
+        self.write_json(true)
+    }
+
+    /// The one JSON writer behind [`Self::to_json`] and
+    /// [`Self::semantic_json`]; `semantic` prints every cost field as zero.
+    fn write_json(&self, semantic: bool) -> String {
         use std::fmt::Write as _;
+        let wall = |secs: f64| json_f64(if semantic { 0.0 } else { secs });
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"label\": {},", json_string(&self.label));
         let _ = writeln!(out, "  \"horizon_ns\": {},", self.horizon.as_nanos());
@@ -270,13 +348,9 @@ impl ExperimentReport {
         let _ = writeln!(
             out,
             "  \"wall_setup_secs\": {},",
-            json_f64(self.wall_setup_secs)
+            wall(self.wall_setup_secs)
         );
-        let _ = writeln!(
-            out,
-            "  \"wall_run_secs\": {},",
-            json_f64(self.wall_run_secs)
-        );
+        let _ = writeln!(out, "  \"wall_run_secs\": {},", wall(self.wall_run_secs));
         let _ = writeln!(out, "  \"events_processed\": {},", self.events_processed);
         let _ = writeln!(out, "  \"control_msgs\": {},", self.control_msgs);
         let _ = writeln!(out, "  \"table_writes\": {},", self.table_writes);
@@ -304,178 +378,17 @@ impl ExperimentReport {
             }
             None => out.push_str("  \"all_routed_at_ns\": null,\n"),
         }
-        let _ = writeln!(out, "  \"scheduler_moves\": {},", self.scheduler_moves);
-        let _ = writeln!(out, "  \"pump_steps\": {},", self.pump_steps);
-        let _ = writeln!(out, "  \"pump_nodes_total\": {},", self.pump_nodes_total);
-        let _ = writeln!(
-            out,
-            "  \"pump_nodes_touched\": {},",
-            self.pump_nodes_touched
-        );
-        let _ = writeln!(out, "  \"pump_table_scans\": {},", self.pump_table_scans);
-        let _ = writeln!(out, "  \"pump_run_threads\": {},", self.pump_run_threads);
-        let _ = writeln!(
-            out,
-            "  \"pump_parallel_rounds\": {},",
-            self.pump_parallel_rounds
-        );
-        let _ = writeln!(
-            out,
-            "  \"pump_parallel_nodes\": {},",
-            self.pump_parallel_nodes
-        );
-        let _ = writeln!(out, "  \"fluid_solves\": {},", self.fluid_solves);
-        let _ = writeln!(out, "  \"fluid_seed_dlinks\": {},", self.fluid_seed_dlinks);
-        let _ = writeln!(
-            out,
-            "  \"fluid_flows_touched\": {},",
-            self.fluid_flows_touched
-        );
-        let _ = writeln!(
-            out,
-            "  \"fluid_scratch_reuses\": {},",
-            self.fluid_scratch_reuses
-        );
-        let _ = writeln!(out, "  \"fluid_heap_pushes\": {},", self.fluid_heap_pushes);
-        let _ = writeln!(
-            out,
-            "  \"fluid_heap_stale_pops\": {},",
-            self.fluid_heap_stale_pops
-        );
-        let _ = writeln!(
-            out,
-            "  \"fluid_parallel_rounds\": {},",
-            self.fluid_parallel_rounds
-        );
-        let _ = writeln!(
-            out,
-            "  \"fluid_parallel_components\": {},",
-            self.fluid_parallel_components
-        );
-        let _ = writeln!(out, "  \"rib_decide_calls\": {},", self.rib_decide_calls);
-        let _ = writeln!(
-            out,
-            "  \"rib_decide_cache_hits\": {},",
-            self.rib_decide_cache_hits
-        );
-        let _ = writeln!(out, "  \"rib_invalidations\": {},", self.rib_invalidations);
-        let _ = writeln!(
-            out,
-            "  \"rib_candidate_touches\": {},",
-            self.rib_candidate_touches
-        );
-        let _ = writeln!(out, "  \"rib_attr_interns\": {},", self.rib_attr_interns);
-        let _ = writeln!(out, "  \"rib_attr_reuses\": {},", self.rib_attr_reuses);
-        let _ = writeln!(
-            out,
-            "  \"rib_attr_store_peak\": {},",
-            self.rib_attr_store_peak
-        );
-        let _ = writeln!(
-            out,
-            "  \"rib_export_cache_hits\": {},",
-            self.rib_export_cache_hits
-        );
-        let _ = writeln!(
-            out,
-            "  \"rib_export_cache_misses\": {},",
-            self.rib_export_cache_misses
-        );
-        let _ = writeln!(
-            out,
-            "  \"mem_peak_rss_bytes\": {},",
-            self.mem_peak_rss_bytes
-        );
-        let _ = writeln!(out, "  \"mem_prefix_ids\": {},", self.mem_prefix_ids);
-        let _ = writeln!(out, "  \"mem_peer_ids\": {},", self.mem_peer_ids);
-        let _ = writeln!(out, "  \"mem_attr_entries\": {},", self.mem_attr_entries);
-        let _ = writeln!(
-            out,
-            "  \"mem_attr_bytes_est\": {},",
-            self.mem_attr_bytes_est
-        );
-        let _ = writeln!(out, "  \"trace_events\": {},", self.trace.events);
-        let _ = writeln!(out, "  \"trace_dropped\": {},", self.trace.dropped);
-        let _ = writeln!(
-            out,
-            "  \"trace_fti_attributed_ns\": {},",
-            self.trace.fti_attributed_ns
-        );
-        let _ = writeln!(
-            out,
-            "  \"trace_conversations\": {}",
-            self.trace.conversations
-        );
-        out.push('}');
+        let _ = write!(out, "  \"scheduler_moves\": {}", self.scheduler_moves);
+        for (key, value) in self.cost_counters() {
+            let _ = write!(out, ",\n  \"{key}\": {}", if semantic { 0 } else { value });
+        }
+        out.push_str("\n}");
         out
     }
 
-    /// Every cost-only `u64` counter in the report, as one table. This is
-    /// the single place that decides what [`ExperimentReport::semantic_json`]
-    /// zeroes: any counter that measures *how hard the engine worked* (pump
-    /// effort, RIB caching, memory shape, trace volume) belongs here;
-    /// anything describing *what the experiment computed* does not. Adding
-    /// a counter to the struct without adding it here would leak it into
-    /// semantic comparisons, so the unit test below checks every
-    /// `pump_`/`rib_`/`mem_`/`trace_`-prefixed JSON key comes out zero.
-    fn cost_counters_mut(&mut self) -> [&mut u64; 33] {
-        [
-            &mut self.pump_steps,
-            &mut self.pump_nodes_total,
-            &mut self.pump_nodes_touched,
-            &mut self.pump_table_scans,
-            &mut self.pump_run_threads,
-            &mut self.pump_parallel_rounds,
-            &mut self.pump_parallel_nodes,
-            &mut self.fluid_solves,
-            &mut self.fluid_seed_dlinks,
-            &mut self.fluid_flows_touched,
-            &mut self.fluid_scratch_reuses,
-            &mut self.fluid_heap_pushes,
-            &mut self.fluid_heap_stale_pops,
-            &mut self.fluid_parallel_rounds,
-            &mut self.fluid_parallel_components,
-            &mut self.rib_decide_calls,
-            &mut self.rib_decide_cache_hits,
-            &mut self.rib_invalidations,
-            &mut self.rib_candidate_touches,
-            &mut self.rib_attr_interns,
-            &mut self.rib_attr_reuses,
-            &mut self.rib_attr_store_peak,
-            &mut self.rib_export_cache_hits,
-            &mut self.rib_export_cache_misses,
-            &mut self.mem_peak_rss_bytes,
-            &mut self.mem_prefix_ids,
-            &mut self.mem_peer_ids,
-            &mut self.mem_attr_entries,
-            &mut self.mem_attr_bytes_est,
-            &mut self.trace.events,
-            &mut self.trace.dropped,
-            &mut self.trace.fti_attributed_ns,
-            &mut self.trace.conversations,
-        ]
-    }
-
-    /// The cost-only wall-clock fields, zeroed alongside the counters.
-    fn cost_walls_mut(&mut self) -> [&mut f64; 2] {
-        [&mut self.wall_setup_secs, &mut self.wall_run_secs]
-    }
-
-    /// JSON with cost-only fields (wall times, pump counters) zeroed —
-    /// two runs are semantically identical iff these strings are
-    /// byte-identical, regardless of how the pump was scheduled.
-    pub fn semantic_json(&self) -> String {
-        let mut r = self.clone();
-        for wall in r.cost_walls_mut() {
-            *wall = 0.0;
-        }
-        for counter in r.cost_counters_mut() {
-            *counter = 0;
-        }
-        r.to_json()
-    }
-
-    /// Parses a report produced by [`ExperimentReport::to_json`].
+    /// Parses a report produced by [`ExperimentReport::to_json`]. A cost
+    /// counter that is absent reads as 0 (dumps predating it lack the key);
+    /// one that is present but not a `u64` is an error.
     pub fn from_json(text: &str) -> Result<ExperimentReport, String> {
         let v = Json::parse(text)?;
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
@@ -483,7 +396,6 @@ impl ExperimentReport {
             |k: &str| -> Result<u64, String> { field(k)?.as_u64().ok_or(format!("bad '{k}'")) };
         let f64_of =
             |k: &str| -> Result<f64, String> { field(k)?.as_f64().ok_or(format!("bad '{k}'")) };
-        let opt_num = |k: &str| -> u64 { v.get(k).and_then(|j| j.as_u64()).unwrap_or(0) };
 
         let mut goodput = SeriesSet::new();
         if let Json::Obj(series) = field("goodput")? {
@@ -541,7 +453,7 @@ impl ExperimentReport {
             )),
         };
 
-        Ok(ExperimentReport {
+        let mut report = ExperimentReport {
             label: field("label")?.as_str().ok_or("bad label")?.to_string(),
             horizon: SimTime::from_nanos(num("horizon_ns")?),
             goodput,
@@ -559,48 +471,14 @@ impl ExperimentReport {
             flow_completion_secs,
             all_routed_at,
             scheduler_moves: num("scheduler_moves")?,
-            // Absent in pre-pump-stats dumps: default to 0.
-            pump_steps: opt_num("pump_steps"),
-            pump_nodes_total: opt_num("pump_nodes_total"),
-            pump_nodes_touched: opt_num("pump_nodes_touched"),
-            pump_table_scans: opt_num("pump_table_scans"),
-            // Absent in pre-parallel-pump dumps: default to 0.
-            pump_run_threads: opt_num("pump_run_threads"),
-            pump_parallel_rounds: opt_num("pump_parallel_rounds"),
-            pump_parallel_nodes: opt_num("pump_parallel_nodes"),
-            // Absent in pre-flow-arena dumps: default to 0.
-            fluid_solves: opt_num("fluid_solves"),
-            fluid_seed_dlinks: opt_num("fluid_seed_dlinks"),
-            fluid_flows_touched: opt_num("fluid_flows_touched"),
-            fluid_scratch_reuses: opt_num("fluid_scratch_reuses"),
-            fluid_heap_pushes: opt_num("fluid_heap_pushes"),
-            fluid_heap_stale_pops: opt_num("fluid_heap_stale_pops"),
-            fluid_parallel_rounds: opt_num("fluid_parallel_rounds"),
-            fluid_parallel_components: opt_num("fluid_parallel_components"),
-            // Absent in pre-rib-stats dumps: default to 0.
-            rib_decide_calls: opt_num("rib_decide_calls"),
-            rib_decide_cache_hits: opt_num("rib_decide_cache_hits"),
-            rib_invalidations: opt_num("rib_invalidations"),
-            rib_candidate_touches: opt_num("rib_candidate_touches"),
-            rib_attr_interns: opt_num("rib_attr_interns"),
-            rib_attr_reuses: opt_num("rib_attr_reuses"),
-            rib_attr_store_peak: opt_num("rib_attr_store_peak"),
-            rib_export_cache_hits: opt_num("rib_export_cache_hits"),
-            rib_export_cache_misses: opt_num("rib_export_cache_misses"),
-            // Absent in pre-mem-stats dumps: default to 0.
-            mem_peak_rss_bytes: opt_num("mem_peak_rss_bytes"),
-            mem_prefix_ids: opt_num("mem_prefix_ids"),
-            mem_peer_ids: opt_num("mem_peer_ids"),
-            mem_attr_entries: opt_num("mem_attr_entries"),
-            mem_attr_bytes_est: opt_num("mem_attr_bytes_est"),
-            // Absent in pre-trace dumps: default to 0.
-            trace: TraceSummary {
-                events: opt_num("trace_events"),
-                dropped: opt_num("trace_dropped"),
-                fti_attributed_ns: opt_num("trace_fti_attributed_ns"),
-                conversations: opt_num("trace_conversations"),
-            },
-        })
+            ..ExperimentReport::default()
+        };
+        for (key, counter) in report.cost_counter_slots() {
+            if v.get(key).is_some() {
+                *counter = num(key)?;
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -608,11 +486,11 @@ impl ExperimentReport {
 mod tests {
     use super::*;
 
+    /// A report whose every cost counter holds a distinct nonzero value.
     fn sample_report() -> ExperimentReport {
-        ExperimentReport {
+        let mut r = ExperimentReport {
             label: "t".to_string(),
             horizon: SimTime::from_millis(10),
-            goodput: SeriesSet::new(),
             transitions: vec![ModeTransition {
                 at: SimTime::ZERO,
                 mode: ClockMode::Des,
@@ -626,46 +504,12 @@ mod tests {
             table_writes: 33,
             flows_requested: 4,
             flows_routed: 4,
-            completions: Vec::new(),
-            flow_completion_secs: Vec::new(),
-            all_routed_at: None,
-            scheduler_moves: 0,
-            pump_steps: 1,
-            pump_nodes_total: 2,
-            pump_nodes_touched: 3,
-            pump_table_scans: 4,
-            pump_run_threads: 23,
-            pump_parallel_rounds: 24,
-            pump_parallel_nodes: 25,
-            fluid_solves: 26,
-            fluid_seed_dlinks: 27,
-            fluid_flows_touched: 28,
-            fluid_scratch_reuses: 29,
-            fluid_heap_pushes: 30,
-            fluid_heap_stale_pops: 31,
-            fluid_parallel_rounds: 32,
-            fluid_parallel_components: 33,
-            rib_decide_calls: 5,
-            rib_decide_cache_hits: 6,
-            rib_invalidations: 7,
-            rib_candidate_touches: 8,
-            rib_attr_interns: 9,
-            rib_attr_reuses: 10,
-            rib_attr_store_peak: 11,
-            rib_export_cache_hits: 12,
-            rib_export_cache_misses: 13,
-            mem_peak_rss_bytes: 18,
-            mem_prefix_ids: 19,
-            mem_peer_ids: 20,
-            mem_attr_entries: 21,
-            mem_attr_bytes_est: 22,
-            trace: TraceSummary {
-                events: 14,
-                dropped: 15,
-                fti_attributed_ns: 16,
-                conversations: 17,
-            },
+            ..ExperimentReport::default()
+        };
+        for (i, (_, counter)) in r.cost_counter_slots().into_iter().enumerate() {
+            *counter = 100 + i as u64;
         }
+        r
     }
 
     #[test]
@@ -693,20 +537,43 @@ mod tests {
                 "cost key {key:?} not zeroed in semantic_json"
             );
         }
-        // 33 counters + 2 wall times; a miscount here means a counter was
-        // added to the struct but not to `cost_counters_mut`.
-        assert_eq!(checked, 35, "unexpected number of cost keys");
+        // Every table entry plus the two wall times; a miscount means a
+        // cost-prefixed key is written outside the `cost_counters!` table.
+        assert_eq!(checked, COST_COUNTERS + 2, "unexpected number of cost keys");
     }
 
     #[test]
-    fn trace_summary_round_trips_through_json() {
+    fn to_json_round_trips_byte_exact() {
+        let mut r = sample_report();
+        r.goodput.push("aggregate", SimTime::from_millis(1), 2.5e9);
+        r.completions.push((FlowId(7), SimTime::from_nanos(9)));
+        r.flow_completion_secs.push(0.125);
+        r.all_routed_at = Some(SimTime::from_millis(2));
+        let json = r.to_json();
+        let parsed = ExperimentReport::from_json(&json).expect("parse");
+        assert_eq!(parsed.to_json(), json);
+    }
+
+    #[test]
+    fn cost_counters_default_when_absent_and_reject_bad_values() {
         let r = sample_report();
-        let parsed = ExperimentReport::from_json(&r.to_json()).expect("parse");
-        assert_eq!(parsed.trace, r.trace);
-        // Pre-trace dumps (no trace_* keys) default to zero.
-        let legacy = sample_report().semantic_json();
-        let parsed = ExperimentReport::from_json(&legacy).expect("parse");
-        assert_eq!(parsed.trace, TraceSummary::default());
+        let json = r.to_json();
+        let line = format!("\n  \"rib_decide_calls\": {},", r.rib_decide_calls);
+        assert!(json.contains(&line), "counter line not found in {json}");
+        // Dumps predating a counter lack its key: it reads as 0.
+        let legacy = json.replacen(&line, "", 1);
+        let parsed = ExperimentReport::from_json(&legacy).expect("parse legacy");
+        assert_eq!(parsed.rib_decide_calls, 0);
+        assert_eq!(parsed.rib_decide_cache_hits, r.rib_decide_cache_hits);
+        // A present key must hold a u64.
+        for bad in ["\"x\"", "-3", "1.5", "null"] {
+            let text = json.replacen(&line, &format!("\n  \"rib_decide_calls\": {bad},"), 1);
+            assert_eq!(
+                ExperimentReport::from_json(&text).err().as_deref(),
+                Some("bad 'rib_decide_calls'"),
+                "rib_decide_calls = {bad} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -468,7 +468,7 @@ proptest! {
                             continue;
                         };
                         let fid = fast
-                            .start_deferred(now, spec.clone(), path.clone(), &topo)
+                            .start_deferred(now, spec, path.clone(), &topo)
                             .unwrap();
                         let nid = naive.start_deferred(now, spec, path, &topo).unwrap();
                         prop_assert_eq!(fid, nid, "id assignment diverged");
@@ -678,7 +678,7 @@ proptest! {
         // Net A advances in k steps; net B jumps straight to the end.
         let mut stepped = FluidNetwork::new();
         let mut jumped = FluidNetwork::new();
-        let (id, _) = stepped.start(SimTime::ZERO, spec.clone(), path.clone(), &topo).unwrap();
+        let (id, _) = stepped.start(SimTime::ZERO, spec, path.clone(), &topo).unwrap();
         let (jid, _) = jumped.start(SimTime::ZERO, spec, path.clone(), &topo).unwrap();
         prop_assert_eq!(id, jid);
         let mut now_ms = 0u64;

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Repo gate: formatting, lints, and the full test suite.
-# Run from anywhere; operates on the workspace root.
+# Run from anywhere; operates on the whole workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "All checks passed."
