@@ -19,9 +19,9 @@
 //!   multipath relaxation (equal local-pref, AS-path length, origin and
 //!   MED routes form a multipath set, as `maximum-paths` does in real
 //!   routers — the demo's "BGP + ECMP" scenario depends on this). The RIB
-//!   is built around hash-consed path attributes ([`rib::AttrStore`]), an
-//!   inverted per-prefix candidate index and a memoized decision cache —
-//!   the route-churn fast path.
+//!   is built around hash-consed path attributes ([`rib::AttrStore`]) and
+//!   copy-on-write candidate sets shared by prefixes, each with its own
+//!   memoized decision — the route-churn fast path.
 //! * [`policy`] — per-peer import/export route-maps (prefix / community /
 //!   AS-path regex-lite matches; local-pref / MED / community / prepend
 //!   sets) and the Gao-Rexford role compiler. Evaluated at exactly two

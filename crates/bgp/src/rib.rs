@@ -21,9 +21,9 @@
 //!
 //! Fat-tree convergence produces thousands of routes but only a handful of
 //! distinct attribute sets, and the speaker reads each decision many times
-//! (once for the FIB, once per established peer). Beyond PR 4's
-//! hash-consing and memoization, this RIB stores **nothing keyed by an
-//! address struct** on the hot path — the shape production daemons use:
+//! (once for the FIB, once per established peer). This RIB stores
+//! **nothing keyed by an address struct** on the hot path, and **nothing
+//! per prefix but one `u32`**:
 //!
 //! * [`AttrStore`] hash-conses [`PathAttributes`] into `Arc`-backed
 //!   canonical entries with stable [`AttrId`]s; ranking inputs are
@@ -32,26 +32,45 @@
 //!   **once per process**, not once per speaker.
 //! * Prefixes and peer addresses are interned to `u32` ids
 //!   ([`PrefixId`]/[`PeerId`], first-intern order, same discipline as
-//!   `AttrId`). The candidate index, decision cache and per-peer Adj-RIB-In
-//!   become dense `Vec`s indexed by id: a decide is an array load, not a
-//!   tree walk.
-//! * Per prefix, candidates live in a small sorted `Vec` ordered by
-//!   `(remote, peer address)` — byte-for-byte the iteration order of the
-//!   old `BTreeMap<CandKey, _>`, which the `min_by` tie-break (step 7)
-//!   depends on.
+//!   `AttrId`). Per-peer Adj-RIB-In membership is a bitset over prefix
+//!   ids.
+//! * Per prefix, `set_of` names a **candidate set**: a small `Vec` sorted
+//!   by `(remote, peer address)` — byte-for-byte the iteration order of
+//!   the old `BTreeMap<CandKey, _>`, which the `min_by` tie-break (step 7)
+//!   depends on. Sets live in a ref-counted, copy-on-write arena and each
+//!   carries its own decision memo, so prefixes that share candidates
+//!   (every prefix a peer announced in one UPDATE, every prefix of one
+//!   origin) share one set and one decision: a decide is two array loads.
 //!
-//! Ids order by first appearance, **not** by value. Every API that feeds a
+//! ## Copy-on-write candidate sets
+//!
+//! Every mutation is an *operation* (an UPDATE, a withdrawal batch, a
+//! session drop, a local origination) that applies one edit — insert or
+//! replace a candidate, or remove one — to each prefix it touches. A
+//! prefix in set S moves to S′ = edit(S); the arena memoizes S→S′ for the
+//! duration of the edit and checks it first, so the thousand NLRI of one
+//! UPDATE that all sat in S all land in one S′. A set whose refcount is 1
+//! is edited in place (its memo dropped); a prefix whose last candidate
+//! goes moves to set 0, the permanent empty set, whose answer is always
+//! "unreachable". Sets left without prefixes are recycled only when the
+//! operation ends, so a recycled id is never confused with a set the same
+//! operation still forwards to. There is no content index: two equal sets
+//! reached by different operations stay two sets, which costs one extra
+//! decide and never a wrong one.
+//!
+//! Set ids, like prefix ids, order by first use, **not** by value, and
+//! nothing observable is ordered by them. Every API that feeds a
 //! determinism-sensitive consumer (affected-sets, the live prefix index)
-//! therefore returns id slices sorted by *value* via the interner's
-//! monotone sort key, so downstream iteration order — and hence wire
-//! bytes — is identical to the address-keyed implementation it replaced.
-//! The one reference model is [`crate::naive::NaiveRib`];
+//! returns id slices sorted by prefix *value* via the interner's monotone
+//! sort key, so downstream iteration order — and hence wire bytes — is
+//! identical to the address-keyed implementation it replaced. The one
+//! reference model is [`crate::naive::NaiveRib`];
 //! `tests/prop_rib_differential.rs` drives both in lockstep.
 
 use crate::msg::{Origin, PathAttributes, UpdateMsg};
 use horse_net::addr::Ipv4Prefix;
 use horse_net::intern::{IdSet, PeerInterner, PrefixId, PrefixInterner, PrefixPool};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -285,16 +304,22 @@ impl AttrPool {
 /// export cache, merged in by [`crate::speaker::BgpSpeaker::rib_stats`]).
 ///
 /// All counters are cost observability only: they never feed back into
-/// routing decisions or wire output.
+/// routing decisions or wire output. The decision counters are per
+/// *candidate set*, not per prefix: prefixes sharing a set share its one
+/// memoized decision (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RibStats {
-    /// Decision-process invocations (cache hits included).
+    /// Decision-process invocations, one per prefix read (cache hits
+    /// included).
     pub decide_calls: u64,
-    /// Calls answered from the memoized decision cache.
+    /// Reads answered without ranking: the prefix's set already held a
+    /// memoized decision, or the prefix has no candidates (set 0).
     pub decide_cache_hits: u64,
-    /// Calls that ran the ranking over the candidate set.
+    /// Reads that ranked their candidate set — at most one per set
+    /// between edits, however many prefixes share it.
     pub decide_recomputes: u64,
-    /// Cached decisions dropped by mutations.
+    /// Memoized set decisions dropped: the set was edited in place, or
+    /// its last prefix left and the set was recycled.
     pub invalidations: u64,
     /// Candidates examined across all recomputes.
     pub candidate_touches: u64,
@@ -338,7 +363,7 @@ impl RibStats {
     }
 }
 
-/// One candidate in a prefix's sorted set. `(remote, addr_key)` is the
+/// One candidate in a sorted candidate set. `(remote, addr_key)` is the
 /// sort key: local origination is `(false, 0)` and sorts first; remote
 /// peers follow in ascending address order — exactly the gathering order
 /// of the naive decision loop, which the `min_by` tie-break depends on.
@@ -361,6 +386,65 @@ impl CandEntry {
 
 const LOCAL_KEY: (bool, u32) = (false, 0);
 
+/// The edit one RIB operation applies to every prefix it touches.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    /// Insert the candidate, or replace the one at its key.
+    Upsert(CandEntry),
+    /// Remove the candidate at this key.
+    Remove((bool, u32)),
+}
+
+impl Edit {
+    /// True when applying the edit would change `cands`.
+    fn changes(self, cands: &[CandEntry]) -> bool {
+        match self {
+            Edit::Upsert(e) => match cands.binary_search_by_key(&e.key(), CandEntry::key) {
+                Ok(i) => cands[i] != e,
+                Err(_) => true,
+            },
+            Edit::Remove(key) => cands.binary_search_by_key(&key, CandEntry::key).is_ok(),
+        }
+    }
+
+    /// Applies the edit, keeping `cands` sorted.
+    fn apply(self, cands: &mut Vec<CandEntry>) {
+        match self {
+            Edit::Upsert(e) => match cands.binary_search_by_key(&e.key(), CandEntry::key) {
+                Ok(i) => cands[i] = e,
+                Err(i) => cands.insert(i, e),
+            },
+            Edit::Remove(key) => {
+                if let Ok(i) = cands.binary_search_by_key(&key, CandEntry::key) {
+                    cands.remove(i);
+                }
+            }
+        }
+    }
+}
+
+/// Set id 0: the permanent empty set. Every prefix without candidates —
+/// and every id beyond `set_of` — is in it, and its answer is always
+/// "unreachable", so it is never ranked, ref-counted or recycled.
+const EMPTY_SET: u32 = 0;
+
+/// One copy-on-write candidate set, shared by every prefix whose `set_of`
+/// slot names it.
+#[derive(Debug, Clone, Default)]
+struct CandSet {
+    /// Candidates sorted by `(remote, addr_key)`; never empty outside set 0.
+    cands: Vec<CandEntry>,
+    /// Prefixes in this set; 0 = dead (recycled when its operation ends).
+    refs: u32,
+    /// Where the current edit sends this set's prefixes — valid only while
+    /// `moved_by` equals the RIB's edit counter.
+    moved_to: u32,
+    moved_by: u64,
+    /// The set's decision, computed on first read after an edit. Interior
+    /// mutability keeps `decide(&self)`.
+    memo: OnceCell<Arc<Decision>>,
+}
+
 /// One route in a [`Decision`], sharing the interned attribute allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteInfo {
@@ -381,9 +465,10 @@ impl RouteInfo {
     }
 }
 
-/// Result of running the decision process for one prefix. Memoized per
-/// prefix behind an `Arc` so every reader (FIB reconcile, each established
-/// peer's sync) shares one computation.
+/// Result of running the decision process over one candidate set.
+/// Memoized per set behind an `Arc`, so every reader (FIB reconcile, each
+/// established peer's sync) of every prefix in the set shares one
+/// computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// The single best path.
@@ -393,25 +478,17 @@ pub struct Decision {
     pub multipath: Vec<RouteInfo>,
     /// Deduplicated, sorted next hops of the multipath set.
     pub next_hops: Vec<Ipv4Addr>,
-}
-
-/// Per-prefix decision memo slot.
-#[derive(Debug, Clone, Default)]
-enum Memo {
-    /// Not computed since the last invalidation.
-    #[default]
-    Stale,
-    /// Computed: no candidates survive.
-    Unreachable,
-    /// Computed: the memoized decision.
-    Reachable(Arc<Decision>),
+    /// `next_hops` interned in the owning RIB: within one RIB, equal ids
+    /// mean equal next-hop sets. Never 0, so callers can use 0 for "no
+    /// route".
+    pub next_hop_set: u32,
 }
 
 /// The RIB's prefix-id table: private per speaker, or a handle to the
 /// per-run [`PrefixPool`] every speaker shares. A shared table gives the
 /// whole fleet one id space — a 1000-node full mesh interns each prefix
 /// once, not once per speaker — but means ids created by *other* speakers
-/// can exceed this RIB's dense arenas, so every arena-indexing path must
+/// can exceed this RIB's `set_of` arena, so every arena-indexing path must
 /// treat an out-of-range id as "no local candidates".
 #[derive(Debug, Clone)]
 enum PrefixTable {
@@ -467,7 +544,7 @@ impl PrefixTable {
 }
 
 /// The speaker's RIB collection (compact-id shape).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LocRib {
     local_as: u16,
     multipath: bool,
@@ -483,15 +560,46 @@ pub struct LocRib {
     peers: PeerInterner,
     /// Per peer id: the prefix ids it currently contributes.
     adj_in: Vec<IdSet>,
-    /// Per prefix id: candidates sorted by `(remote, addr_key)`. Empty
-    /// sets stay allocated (ids are never reused); `live` tracks how many
-    /// are non-empty.
-    candidates: Vec<Vec<CandEntry>>,
+    /// Per prefix id: its candidate set in `sets` ([`EMPTY_SET`] = none).
+    set_of: Vec<u32>,
+    /// Prefixes not in the empty set.
     live: usize,
-    /// Per prefix id: memoized decision. Interior mutability keeps
-    /// `decide(&self)`.
-    cache: RefCell<Vec<Memo>>,
+    /// The candidate-set arena; slot 0 is [`EMPTY_SET`].
+    sets: Vec<CandSet>,
+    /// Recycled set ids, reused before the arena grows.
+    free_sets: Vec<u32>,
+    /// Sets whose last prefix left during the current operation.
+    dead_sets: Vec<u32>,
+    /// Edits begun so far; dates `CandSet::moved_by`.
+    edits: u64,
+    /// Next-hop sets interned by `compute`, ids from 1. Grows with the
+    /// distinct sets seen, like the attribute store.
+    hop_sets: RefCell<HashMap<Vec<Ipv4Addr>, u32>>,
     stats: RefCell<RibStats>,
+}
+
+impl Default for LocRib {
+    fn default() -> Self {
+        LocRib {
+            local_as: 0,
+            multipath: false,
+            pool: AttrPool::default(),
+            pool_shared: false,
+            interns: Cell::default(),
+            reuses: Cell::default(),
+            prefixes: PrefixTable::default(),
+            peers: PeerInterner::default(),
+            adj_in: Vec::new(),
+            set_of: Vec::new(),
+            live: 0,
+            sets: vec![CandSet::default()],
+            free_sets: Vec::new(),
+            dead_sets: Vec::new(),
+            edits: 0,
+            hop_sets: RefCell::default(),
+            stats: RefCell::default(),
+        }
+    }
 }
 
 impl LocRib {
@@ -538,82 +646,135 @@ impl LocRib {
     /// Interns into the pool, tracking per-RIB created/reused counts.
     fn pool_intern(&self, attrs: &Arc<PathAttributes>) -> AttrId {
         let (id, created) = self.pool.intern(attrs);
+        self.count_intern(created);
+        id
+    }
+
+    fn count_intern(&self, created: bool) {
         if created {
             self.interns.set(self.interns.get() + 1);
         } else {
             self.reuses.set(self.reuses.get() + 1);
         }
-        id
     }
 
-    /// Interns a prefix, growing the dense per-prefix arenas alongside the
-    /// id table.
+    /// Interns a prefix, growing `set_of` alongside the id table.
     fn intern_prefix(&mut self, p: Ipv4Prefix) -> PrefixId {
         let id = self.prefixes.intern(p);
-        if id.index() >= self.candidates.len() {
-            self.candidates.resize(id.index() + 1, Vec::new());
-            self.cache.get_mut().resize(id.index() + 1, Memo::Stale);
+        if id.index() >= self.set_of.len() {
+            self.set_of.resize(id.index() + 1, EMPTY_SET);
         }
         id
     }
 
-    /// Inserts/replaces a candidate, returning the previous entry at the
-    /// same key and maintaining the live-prefix count.
-    fn upsert_candidate(&mut self, id: PrefixId, entry: CandEntry) -> Option<CandEntry> {
-        let set = &mut self.candidates[id.index()];
-        match set.binary_search_by_key(&entry.key(), CandEntry::key) {
-            Ok(i) => Some(std::mem::replace(&mut set[i], entry)),
-            Err(i) => {
-                if set.is_empty() {
-                    self.live += 1;
-                }
-                set.insert(i, entry);
-                None
+    /// Starts a new edit: set-to-set moves memoized by the previous one
+    /// no longer apply.
+    fn begin_edit(&mut self) {
+        self.edits += 1;
+    }
+
+    /// Ends an operation: recycles the sets it emptied of prefixes.
+    fn end_operation(&mut self) {
+        let mut dead = std::mem::take(&mut self.dead_sets);
+        for s in dead.drain(..) {
+            let set = &mut self.sets[s as usize];
+            if set.memo.take().is_some() {
+                self.stats.get_mut().invalidations += 1;
+            }
+            set.cands = Vec::new();
+            self.free_sets.push(s);
+        }
+        self.dead_sets = dead;
+    }
+
+    /// A fresh set holding `cands`, reusing a recycled id when one is free.
+    fn alloc_set(&mut self, cands: Vec<CandEntry>) -> u32 {
+        let set = CandSet {
+            cands,
+            ..CandSet::default()
+        };
+        match self.free_sets.pop() {
+            Some(s) => {
+                self.sets[s as usize] = set;
+                s
+            }
+            None => {
+                self.sets.push(set);
+                (self.sets.len() - 1) as u32
             }
         }
     }
 
-    /// Removes the candidate with `key`, maintaining the live count. Ids
-    /// beyond the arenas (interned into a shared table by another speaker,
-    /// never seen here) have no candidates by construction.
-    fn remove_candidate_key(&mut self, id: PrefixId, key: (bool, u32)) -> bool {
-        let Some(set) = self.candidates.get_mut(id.index()) else {
-            return false;
-        };
-        match set.binary_search_by_key(&key, CandEntry::key) {
-            Ok(i) => {
-                set.remove(i);
-                if set.is_empty() {
-                    self.live -= 1;
-                }
-                true
+    /// Moves prefix `id` from its set S to S′ = `edit`(S), returning true
+    /// when its candidates changed. The current edit's S→S′ move is
+    /// memoized on S and checked first, so every prefix of S lands in the
+    /// same S′; S is edited in place when this prefix is its only member.
+    fn edit_prefix(&mut self, id: PrefixId, edit: Edit) -> bool {
+        let from = self.set_of.get(id.index()).copied().unwrap_or(EMPTY_SET);
+        let set = &mut self.sets[from as usize];
+        let to = if set.moved_by == self.edits {
+            set.moved_to
+        } else {
+            set.moved_by = self.edits;
+            if !edit.changes(&set.cands) {
+                set.moved_to = from;
+                return false;
             }
-            Err(_) => false,
+            let to = if matches!(edit, Edit::Remove(_)) && set.cands.len() == 1 {
+                EMPTY_SET
+            } else if from != EMPTY_SET && set.refs == 1 {
+                edit.apply(&mut set.cands);
+                if set.memo.take().is_some() {
+                    self.stats.get_mut().invalidations += 1;
+                }
+                set.moved_to = from;
+                return true;
+            } else {
+                let mut cands = Vec::with_capacity(set.cands.len() + 1);
+                cands.extend_from_slice(&set.cands);
+                edit.apply(&mut cands);
+                self.alloc_set(cands)
+            };
+            self.sets[from as usize].moved_to = to;
+            to
+        };
+        if to == from {
+            // Unchanged, or this very prefix was already edited in place.
+            return false;
         }
+        if from == EMPTY_SET {
+            self.live += 1;
+        } else {
+            let set = &mut self.sets[from as usize];
+            set.refs -= 1;
+            if set.refs == 0 {
+                self.dead_sets.push(from);
+            }
+        }
+        if to == EMPTY_SET {
+            self.live -= 1;
+        } else {
+            self.sets[to as usize].refs += 1;
+        }
+        self.set_of[id.index()] = to;
+        true
     }
 
     /// Originates a local network, returning the prefix's id.
     pub fn originate(&mut self, prefix: Ipv4Prefix, next_hop: Ipv4Addr) -> PrefixId {
-        let attr = {
-            let (id, created) = self.pool.intern_owned(PathAttributes::originated(next_hop));
-            if created {
-                self.interns.set(self.interns.get() + 1);
-            } else {
-                self.reuses.set(self.reuses.get() + 1);
-            }
-            id
-        };
+        let attr = self.intern_attrs(PathAttributes::originated(next_hop));
         let id = self.intern_prefix(prefix);
-        self.upsert_candidate(
+        self.begin_edit();
+        self.edit_prefix(
             id,
-            CandEntry {
+            Edit::Upsert(CandEntry {
                 remote: false,
                 addr_key: 0,
                 attr,
                 ebgp: false,
-            },
+            }),
         );
-        self.invalidate(id);
+        self.end_operation();
         id
     }
 
@@ -621,12 +782,10 @@ impl LocRib {
     /// candidate actually existed.
     pub fn withdraw_local(&mut self, prefix: Ipv4Prefix) -> Option<PrefixId> {
         let id = self.prefixes.get(prefix)?;
-        if self.remove_candidate_key(id, LOCAL_KEY) {
-            self.invalidate(id);
-            Some(id)
-        } else {
-            None
-        }
+        self.begin_edit();
+        let removed = self.edit_prefix(id, Edit::Remove(LOCAL_KEY));
+        self.end_operation();
+        removed.then_some(id)
     }
 
     /// Applies an UPDATE from `peer`, returning every prefix whose
@@ -658,40 +817,18 @@ impl LocRib {
         import: Option<&crate::policy::RouteMap>,
     ) -> Vec<PrefixId> {
         let mut affected: Vec<PrefixId> = Vec::new();
-        let peer_key = u32::from(peer);
-        for p in &update.withdrawn {
-            // Unknown prefixes are not interned: a withdrawal of something
-            // never announced must not grow the arenas.
-            if let Some(id) = self.prefixes.get(*p) {
-                if self.remove_peer_candidate(id, peer, peer_key) {
-                    affected.push(id);
-                }
-            }
-        }
+        self.remove_peer_candidates(peer, &update.withdrawn, &mut affected);
         if let Some(attrs) = &update.attrs {
             // Loop prevention sees the wire attributes, before any policy.
             if attrs.contains_asn(self.local_as) {
-                for p in &update.nlri {
-                    if let Some(id) = self.prefixes.get(*p) {
-                        if self.remove_peer_candidate(id, peer, peer_key) {
-                            affected.push(id);
-                        }
-                    }
-                }
+                self.remove_peer_candidates(peer, &update.nlri, &mut affected);
             } else {
                 match import {
                     None => {
                         // One intern per UPDATE, not per prefix: every NLRI
                         // in the message shares the id (and the allocation).
                         let attr = self.pool_intern(attrs);
-                        self.insert_candidates(
-                            peer,
-                            peer_key,
-                            ebgp,
-                            attr,
-                            &update.nlri,
-                            &mut affected,
-                        );
+                        self.insert_candidates(peer, ebgp, attr, &update.nlri, &mut affected);
                     }
                     Some(map) => {
                         use crate::policy::{PolicyAction, PolicyVerdict};
@@ -708,32 +845,20 @@ impl LocRib {
                         }
                         // A denied announce is a withdrawal from this peer
                         // (and, like one, never grows the arenas).
-                        for p in denied {
-                            if let Some(id) = self.prefixes.get(p) {
-                                if self.remove_peer_candidate(id, peer, peer_key) {
-                                    affected.push(id);
-                                }
-                            }
-                        }
+                        self.remove_peer_candidates(peer, &denied, &mut affected);
                         for (i, nlri) in buckets {
                             let attr = match map.verdict_of(i, attrs, self.local_as) {
                                 PolicyVerdict::Permit(None) => self.pool_intern(attrs),
                                 PolicyVerdict::Permit(Some(out)) => self.intern_attrs(out),
                                 PolicyVerdict::Deny => unreachable!("bucketed permit clause"),
                             };
-                            self.insert_candidates(
-                                peer,
-                                peer_key,
-                                ebgp,
-                                attr,
-                                &nlri,
-                                &mut affected,
-                            );
+                            self.insert_candidates(peer, ebgp, attr, &nlri, &mut affected);
                         }
                     }
                 }
             }
         }
+        self.end_operation();
         self.prefixes.sort_by_value(&mut affected);
         affected
     }
@@ -747,24 +872,24 @@ impl LocRib {
         if pid.index() >= self.adj_in.len() {
             return Vec::new();
         }
-        let peer_key = u32::from(peer);
+        let key = (true, u32::from(peer));
         let mut affected: Vec<PrefixId> = self.adj_in[pid.index()].iter().map(PrefixId).collect();
         self.adj_in[pid.index()].clear();
+        self.begin_edit();
         for &id in &affected {
-            self.remove_candidate_key(id, (true, peer_key));
-            self.invalidate(id);
+            self.edit_prefix(id, Edit::Remove(key));
         }
+        self.end_operation();
         self.prefixes.sort_by_value(&mut affected);
         affected
     }
 
     /// Installs one interned attribute set as `peer`'s candidate for each
-    /// prefix in `nlri`, maintaining the Adj-RIB-In index and pushing
-    /// changed ids onto `affected`.
+    /// prefix in `nlri` (one edit), maintaining the Adj-RIB-In index and
+    /// pushing changed ids onto `affected`.
     fn insert_candidates(
         &mut self,
         peer: Ipv4Addr,
-        peer_key: u32,
         ebgp: bool,
         attr: AttrId,
         nlri: &[Ipv4Prefix],
@@ -774,43 +899,45 @@ impl LocRib {
         if pid.index() >= self.adj_in.len() {
             self.adj_in.resize(pid.index() + 1, IdSet::new());
         }
-        let entry = CandEntry {
+        let edit = Edit::Upsert(CandEntry {
             remote: true,
-            addr_key: peer_key,
+            addr_key: u32::from(peer),
             attr,
             ebgp,
-        };
+        });
+        self.begin_edit();
         for p in nlri {
             let id = self.intern_prefix(*p);
-            let prev = self.upsert_candidate(id, entry);
             self.adj_in[pid.index()].insert(id.0);
-            if prev != Some(entry) {
+            if self.edit_prefix(id, edit) {
                 affected.push(id);
-                self.invalidate(id);
             }
         }
     }
 
-    /// Drops `peer`'s candidate for one prefix, maintaining both indexes.
-    /// Returns true when a candidate actually existed.
-    fn remove_peer_candidate(&mut self, id: PrefixId, peer: Ipv4Addr, peer_key: u32) -> bool {
-        if !self.remove_candidate_key(id, (true, peer_key)) {
-            return false;
-        }
-        if let Some(pid) = self.peers.get(peer) {
-            if pid.index() < self.adj_in.len() {
-                self.adj_in[pid.index()].remove(id.0);
+    /// Drops `peer`'s candidate for each prefix in `prefixes` (one edit),
+    /// maintaining the Adj-RIB-In index and pushing ids that actually had
+    /// one onto `affected`. Unknown prefixes are not interned: a
+    /// withdrawal of something never announced must not grow the arenas.
+    fn remove_peer_candidates(
+        &mut self,
+        peer: Ipv4Addr,
+        prefixes: &[Ipv4Prefix],
+        affected: &mut Vec<PrefixId>,
+    ) {
+        let edit = Edit::Remove((true, u32::from(peer)));
+        let pid = self.peers.get(peer);
+        self.begin_edit();
+        for p in prefixes {
+            let Some(id) = self.prefixes.get(*p) else {
+                continue;
+            };
+            if self.edit_prefix(id, edit) {
+                if let Some(row) = pid.and_then(|pid| self.adj_in.get_mut(pid.index())) {
+                    row.remove(id.0);
+                }
+                affected.push(id);
             }
-        }
-        self.invalidate(id);
-        true
-    }
-
-    fn invalidate(&mut self, id: PrefixId) {
-        let slot = &mut self.cache.get_mut()[id.index()];
-        if !matches!(slot, Memo::Stale) {
-            *slot = Memo::Stale;
-            self.stats.get_mut().invalidations += 1;
         }
     }
 
@@ -823,7 +950,7 @@ impl LocRib {
     }
 
     /// Every prefix with at least one candidate path, as values (a read of
-    /// the persistent candidate arena, not a union rebuild).
+    /// the persistent `set_of` arena, not a union rebuild).
     pub fn prefixes(&self) -> BTreeSet<Ipv4Prefix> {
         self.live_prefix_ids()
             .into_iter()
@@ -834,9 +961,9 @@ impl LocRib {
     /// Every live prefix id, sorted by prefix value — the order the
     /// speaker's newly-established-peer sync iterates in.
     pub fn live_prefix_ids(&self) -> Vec<PrefixId> {
-        let mut ids: Vec<PrefixId> = (0..self.candidates.len() as u32)
+        let mut ids: Vec<PrefixId> = (0..self.set_of.len() as u32)
+            .filter(|&i| self.set_of[i as usize] != EMPTY_SET)
             .map(PrefixId)
-            .filter(|id| !self.candidates[id.index()].is_empty())
             .collect();
         // One sort_by_value call instead of a per-comparison sort_key
         // probe: against a shared table that is one lock, not O(n log n).
@@ -847,6 +974,12 @@ impl LocRib {
     /// Number of live prefixes.
     pub fn prefix_count(&self) -> usize {
         self.live
+    }
+
+    /// Number of live candidate sets (the empty set not counted): how many
+    /// distinct decisions the RIB's prefixes can share.
+    pub fn candidate_sets(&self) -> usize {
+        self.sets.len() - 1 - self.free_sets.len() - self.dead_sets.len()
     }
 
     /// The id of a prefix, if it was ever announced or originated here.
@@ -886,11 +1019,7 @@ impl LocRib {
     /// export path uses this so Adj-RIB-Out entries are ids too).
     pub fn intern_attrs(&self, attrs: PathAttributes) -> AttrId {
         let (id, created) = self.pool.intern_owned(attrs);
-        if created {
-            self.interns.set(self.interns.get() + 1);
-        } else {
-            self.reuses.set(self.reuses.get() + 1);
-        }
+        self.count_intern(created);
         id
     }
 
@@ -924,8 +1053,8 @@ impl LocRib {
         s
     }
 
-    /// Runs the decision process for `prefix`, memoized until a mutation
-    /// touches the prefix.
+    /// Runs the decision process for `prefix`, memoized on its candidate
+    /// set until an edit changes that set.
     pub fn decide(&self, prefix: Ipv4Prefix) -> Option<Arc<Decision>> {
         match self.prefixes.get(prefix) {
             Some(id) => self.decide_id(id),
@@ -944,43 +1073,30 @@ impl LocRib {
     /// [`LocRib::decide`] by prefix id — the speaker's hot path (no hash
     /// probe at all).
     pub fn decide_id(&self, id: PrefixId) -> Option<Arc<Decision>> {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.decide_calls += 1;
-            if id.index() >= self.candidates.len() {
-                // A shared-table id this RIB never interned: no arena slot
-                // means no candidates. Answered without growing the arenas,
-                // counted like the never-interned case in `decide`.
-                stats.decide_cache_hits += 1;
-                return None;
-            }
-            match &self.cache.borrow()[id.index()] {
-                Memo::Stale => stats.decide_recomputes += 1,
-                Memo::Unreachable => {
-                    stats.decide_cache_hits += 1;
-                    return None;
-                }
-                Memo::Reachable(d) => {
-                    stats.decide_cache_hits += 1;
-                    return Some(Arc::clone(d));
-                }
-            }
-        }
-        let decision = self.compute(id);
-        self.cache.borrow_mut()[id.index()] = match &decision {
-            None => Memo::Unreachable,
-            Some(d) => Memo::Reachable(Arc::clone(d)),
-        };
-        decision
-    }
-
-    /// The uncached decision process: rank the prefix's candidate set.
-    fn compute(&self, id: PrefixId) -> Option<Arc<Decision>> {
-        let cands = &self.candidates[id.index()];
-        if cands.is_empty() {
+        let mut stats = self.stats.borrow_mut();
+        stats.decide_calls += 1;
+        // Ids beyond `set_of` (a shared-table id this RIB never interned)
+        // are in the empty set, like withdrawn prefixes.
+        let s = self.set_of.get(id.index()).copied().unwrap_or(EMPTY_SET);
+        if s == EMPTY_SET {
+            stats.decide_cache_hits += 1;
             return None;
         }
-        self.stats.borrow_mut().candidate_touches += cands.len() as u64;
+        let set = &self.sets[s as usize];
+        if let Some(d) = set.memo.get() {
+            stats.decide_cache_hits += 1;
+            return Some(Arc::clone(d));
+        }
+        stats.decide_recomputes += 1;
+        stats.candidate_touches += set.cands.len() as u64;
+        drop(stats);
+        Some(Arc::clone(
+            set.memo.get_or_init(|| self.compute(&set.cands)),
+        ))
+    }
+
+    /// The uncached decision process: rank a non-empty candidate set.
+    fn compute(&self, cands: &[CandEntry]) -> Arc<Decision> {
         let store = self.pool.read();
         // Iteration order is (local, peer-address) — the naive gathering
         // order — and `min_by` keeps the earliest of rank-equal candidates,
@@ -1009,11 +1125,23 @@ impl LocRib {
             .collect();
         next_hops.sort();
         next_hops.dedup();
-        Some(Arc::new(Decision {
+        let next_hop_set = {
+            let mut hop_sets = self.hop_sets.borrow_mut();
+            match hop_sets.get(next_hops.as_slice()) {
+                Some(&i) => i,
+                None => {
+                    let i = hop_sets.len() as u32 + 1;
+                    hop_sets.insert(next_hops.clone(), i);
+                    i
+                }
+            }
+        };
+        Arc::new(Decision {
             best: route(best),
             multipath: members.into_iter().map(route).collect(),
             next_hops,
-        }))
+            next_hop_set,
+        })
     }
 
     /// The effective next-hop set for a prefix after the decision process:
@@ -1423,7 +1551,8 @@ mod tests {
         assert_eq!(s.decide_recomputes, 1);
         assert_eq!(s.decide_cache_hits, 1);
         assert_eq!(s.candidate_touches, 2, "one recompute over two candidates");
-        // A mutation touching the prefix invalidates the memo.
+        // An edit of the prefix's set invalidates the set's memo (the
+        // prefix is the set's only member, so it is edited in place).
         announce(&mut rib, [10, 0, 0, 3], &[9], "10.9.0.0/16");
         let d3 = rib.decide(p).unwrap();
         assert!(!Arc::ptr_eq(&d1, &d3));
@@ -1438,7 +1567,8 @@ mod tests {
         let s = rib.stats();
         assert_eq!(s.decide_cache_hits, 3);
         assert_eq!(s.decide_recomputes, 2, "no recompute for unknown prefixes");
-        // A withdrawn (known, empty) prefix memoizes unreachability.
+        // A withdrawn (known, empty) prefix lands in the empty set, whose
+        // answer is always "unreachable": no read of it ranks anything.
         let u = UpdateMsg {
             withdrawn: vec![p],
             attrs: None,
@@ -1447,11 +1577,12 @@ mod tests {
         rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 1), true, &u);
         rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 2), true, &u);
         rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 3), true, &u);
-        assert!(rib.decide(p).is_none(), "recomputes the empty set");
-        assert!(rib.decide(p).is_none(), "second read hits the memo");
+        assert!(rib.decide(p).is_none(), "the empty set answers at once");
+        assert!(rib.decide(p).is_none(), "and again");
         let s = rib.stats();
-        assert_eq!(s.decide_recomputes, 3);
-        assert_eq!(s.decide_cache_hits, 4);
+        assert_eq!(s.decide_recomputes, 2);
+        assert_eq!(s.decide_cache_hits, 5);
+        assert_eq!(rib.candidate_sets(), 0);
     }
 
     #[test]
@@ -1467,5 +1598,90 @@ mod tests {
             "identical re-announcement must not invalidate"
         );
         assert_eq!(rib.stats().invalidations, 0);
+        assert_eq!(rib.stats().decide_recomputes, 1);
+        assert_eq!(rib.candidate_sets(), 1);
+    }
+
+    /// `n` distinct /24s under 10.0.0.0/8.
+    fn many(n: usize) -> Vec<Ipv4Prefix> {
+        (0..n)
+            .map(|i| Ipv4Prefix::new(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 0), 24))
+            .collect()
+    }
+
+    fn announce_all(rib: &mut LocRib, peer: [u8; 4], nlri: &[Ipv4Prefix]) -> Vec<PrefixId> {
+        let u = UpdateMsg {
+            withdrawn: vec![],
+            attrs: Some(Arc::new(attrs(&[1], peer))),
+            nlri: nlri.to_vec(),
+        };
+        rib.update_from_peer(Ipv4Addr::from(peer), true, &u)
+    }
+
+    #[test]
+    fn one_update_shares_one_set_and_one_decision() {
+        let mut rib = LocRib::new(65000, true);
+        let nlri = many(1000);
+        let ids = announce_all(&mut rib, [10, 0, 0, 1], &nlri);
+        assert_eq!(ids.len(), 1000);
+        assert_eq!(rib.candidate_sets(), 1, "every NLRI moved to one set");
+        let first = rib.decide_id(ids[0]).unwrap();
+        for &id in &ids {
+            assert!(Arc::ptr_eq(&rib.decide_id(id).unwrap(), &first));
+        }
+        let s = rib.stats();
+        assert_eq!(s.decide_calls, 1001);
+        assert_eq!(s.decide_recomputes, 1, "one ranking for 1000 prefixes");
+        assert_eq!(s.candidate_touches, 1);
+    }
+
+    #[test]
+    fn withdrawing_half_splits_the_set_and_keeps_the_rest_shared() {
+        let mut rib = LocRib::new(65000, true);
+        let nlri = many(1000);
+        let ids = announce_all(&mut rib, [10, 0, 0, 1], &nlri);
+        // A second peer shares every prefix, so withdrawing half of the
+        // first peer's leaves those prefixes reachable, in a new set.
+        announce_all(&mut rib, [10, 0, 0, 2], &nlri);
+        assert_eq!(rib.candidate_sets(), 1);
+        let before = rib.decide_id(ids[0]).unwrap();
+        let (gone, kept) = nlri.split_at(500);
+        let u = UpdateMsg {
+            withdrawn: gone.to_vec(),
+            attrs: None,
+            nlri: vec![],
+        };
+        let affected = rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 1), true, &u);
+        assert_eq!(affected.len(), 500);
+        assert_eq!(rib.candidate_sets(), 2, "the withdrawn half moved together");
+        for p in kept {
+            let d = rib.decide(*p).unwrap();
+            assert!(Arc::ptr_eq(&d, &before), "untouched half keeps its memo");
+        }
+        let moved = rib.decide(gone[0]).unwrap();
+        assert_eq!(moved.best.peer, Ipv4Addr::new(10, 0, 0, 2));
+        for p in gone {
+            assert!(Arc::ptr_eq(&rib.decide(*p).unwrap(), &moved));
+        }
+        assert_eq!(rib.stats().invalidations, 0, "no shared memo was dropped");
+    }
+
+    #[test]
+    fn drop_peer_and_reannounce_recycle_sets() {
+        let mut rib = LocRib::new(65000, true);
+        let nlri = many(1000);
+        announce_all(&mut rib, [10, 0, 0, 2], &nlri[..10]);
+        announce_all(&mut rib, [10, 0, 0, 1], &nlri);
+        let arena = rib.sets.len();
+        for _ in 0..50 {
+            let dropped = rib.drop_peer(Ipv4Addr::new(10, 0, 0, 1));
+            assert_eq!(dropped.len(), 1000);
+            assert_eq!(rib.prefix_count(), 10);
+            assert_eq!(rib.candidate_sets(), 1);
+            announce_all(&mut rib, [10, 0, 0, 1], &nlri);
+            assert_eq!(rib.prefix_count(), 1000);
+            assert_eq!(rib.candidate_sets(), 2);
+            assert_eq!(rib.sets.len(), arena, "dead sets are reused");
+        }
     }
 }

@@ -27,7 +27,7 @@
 //! determinism depends on (peers are synced in that order). Per-peer
 //! state (`sessions`, `adj_out`, `export_cache`, `mrai_*`) lives in
 //! parallel `Vec`s indexed by that peer index; per-prefix state
-//! (`adj_out` rows, `fib_view`) is indexed by [`PrefixId`]. UPDATE
+//! (`adj_out` rows, `fib_view`) is one `u32` per [`PrefixId`]. UPDATE
 //! handling is batched decode→intern→decide→export over id slices: the
 //! RIB returns affected `PrefixId` slices sorted by prefix value, and
 //! reconcile/sync walk them with array loads instead of per-NLRI tree
@@ -139,8 +139,9 @@ pub struct BgpSpeaker {
     /// export-cache key, so a policy swap retires stale entries without a
     /// scan.
     policy_epoch: u32,
-    /// Last next-hop set reported per prefix id (empty = absent).
-    fib_view: Vec<Vec<Ipv4Addr>>,
+    /// Per prefix id: the RIB's interned id of the next-hop set last
+    /// reported ([`Decision::next_hop_set`]; 0 = nothing reported).
+    fib_view: Vec<u32>,
     outputs: Vec<SpeakerOutput>,
     started: bool,
     /// Per peer index: earliest instant the next announcement burst may go
@@ -610,29 +611,26 @@ impl BgpSpeaker {
         };
         if let Some(&max) = ids.iter().max() {
             if max.index() >= self.fib_view.len() {
-                self.fib_view.resize(max.index() + 1, Vec::new());
+                self.fib_view.resize(max.index() + 1, 0);
             }
         }
         // 1. FIB-facing next-hop sets — one decision read per prefix; the
-        //    memoized result also serves every peer sync below.
+        //    memoized result also serves every peer sync below. Interned
+        //    set ids compare in O(1), and equal ids mean equal hop sets.
         for &id in ids {
             let decision = self.rib.decide_id(id);
-            let slot = &mut self.fib_view[id.index()];
-            let hops: &[Ipv4Addr] = match &decision {
-                Some(d) if d.best.is_local() => {
-                    // Locally originated prefixes are connected routes; the
-                    // data plane already knows them. Report nothing.
-                    slot.clear();
-                    continue;
-                }
-                Some(d) => &d.next_hops,
-                None => &[],
+            let (set, hops): (u32, &[Ipv4Addr]) = match &decision {
+                // Locally originated prefixes are connected routes; the
+                // data plane already knows them, so nothing is reported —
+                // but a learned route the origination replaces is
+                // withdrawn from the FIB.
+                Some(d) if d.best.is_local() => (0, &[]),
+                Some(d) => (d.next_hop_set, &d.next_hops),
+                None => (0, &[]),
             };
-            // Compare before cloning: the steady-state "nothing changed"
-            // case used to clone the hop set every time.
-            if slot.as_slice() != hops {
-                slot.clear();
-                slot.extend_from_slice(hops);
+            let slot = &mut self.fib_view[id.index()];
+            if *slot != set {
+                *slot = set;
                 self.outputs.push(SpeakerOutput::RouteChanged {
                     prefix: self.rib.prefix_value(id),
                     next_hops: hops.to_vec(),
@@ -1160,6 +1158,32 @@ mod tests {
         // And runtime withdraw.
         h.speakers[0].withdraw("10.42.0.0/16".parse().unwrap(), SimTime::from_secs(2));
         h.run(SimTime::from_secs(2));
+        assert!(h.fib_of(1).is_empty());
+    }
+
+    #[test]
+    fn originating_a_learned_prefix_withdraws_its_fib_route() {
+        let r1 = speaker(
+            65001,
+            [1, 1, 1, 1],
+            vec![(addr(0, 2), addr(0, 1), 65002)],
+            vec!["10.42.0.0/16"],
+        );
+        let r2 = speaker(
+            65002,
+            [2, 2, 2, 2],
+            vec![(addr(0, 1), addr(0, 2), 65001)],
+            vec![],
+        );
+        let mut h = Harness::new(vec![r1, r2]);
+        h.start(SimTime::ZERO);
+        let p: Ipv4Prefix = "10.42.0.0/16".parse().unwrap();
+        assert_eq!(h.fib_of(1).get(&p), Some(&vec![addr(0, 1)]));
+        // r2 now originates the prefix itself: the local route wins, and
+        // the learned route toward r1 must leave r2's FIB.
+        h.speakers[1].originate(p, SimTime::from_secs(1));
+        h.run(SimTime::from_secs(1));
+        assert_eq!(h.route_events[1].last(), Some(&(p, vec![])));
         assert!(h.fib_of(1).is_empty());
     }
 

@@ -90,7 +90,8 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             0usize..4,
             prop::collection::vec(0usize..6, 0..3),
             prop::option::of(0usize..5),
-            prop::collection::vec(0usize..6, 0..4),
+            // Up to 6 NLRI: one UPDATE can move every prefix at once.
+            prop::collection::vec(0usize..6, 0..7),
         )
             .prop_map(|(peer, withdrawn, attr, nlri)| Op::Update {
                 peer,

@@ -179,10 +179,9 @@ impl FibInstaller {
             })
             .collect();
         let changed = if hops.is_empty() {
-            fib.remove(prefix).is_some()
+            fib.uninstall(prefix)
         } else {
-            let entry = RouteEntry::new(hops, RouteOrigin::Bgp);
-            fib.insert(prefix, entry.clone()) != Some(entry)
+            fib.install(prefix, RouteEntry::new(hops, RouteOrigin::Bgp))
         };
         // Only actual FIB mutations count; redundant re-announcements of
         // the same route are a no-op.
@@ -211,7 +210,7 @@ impl FibInstaller {
             }],
             RouteOrigin::Connected,
         );
-        let changed = fib.insert(prefix, entry.clone()) != Some(entry);
+        let changed = fib.install(prefix, entry);
         if changed {
             self.installs += 1;
         }

@@ -7,13 +7,19 @@
 //! removal clears the route but leaves structural nodes in place (tables in
 //! these experiments are rewritten far more often than shrunk, and the arena
 //! keeps the hot lookup path allocation-free).
+//!
+//! Routes are interned per FIB: a router forwards thousands of prefixes
+//! through a handful of distinct next-hop sets, so each distinct
+//! [`RouteEntry`] is stored once, ref-counted by the nodes that use it, and
+//! a node is three `u32`s (12 B) — two child indexes and a route index.
 
 use horse_net::addr::Ipv4Prefix;
 use horse_net::topology::PortId;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// Where a route came from — used to prefer more specific sources when the
-/// control plane rewrites state, and for debugging dumps.
+/// Where a route came from. [`Fib::flush_origin`] drops routes by origin
+/// (e.g. every BGP route on a session reset); dumps show it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteOrigin {
     /// Directly connected subnet.
@@ -35,7 +41,7 @@ pub struct NextHop {
 }
 
 /// A routing entry: one or more equal-cost next hops.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouteEntry {
     /// Equal-cost next hops, in deterministic (sorted) order.
     pub next_hops: Vec<NextHop>,
@@ -52,17 +58,98 @@ impl RouteEntry {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+/// "No child" and "no route" in a [`TrieNode`]. The root (node 0) is
+/// nobody's child, and route references are 1-based.
+const NONE: u32 = 0;
+
+#[derive(Debug, Clone, Copy, Default)]
 struct TrieNode {
-    children: [Option<u32>; 2],
-    route: Option<RouteEntry>,
+    children: [u32; 2],
+    /// A route reference into the FIB's [`EntryTable`].
+    route: u32,
+}
+
+/// One interned entry and the number of nodes routing through it (0 =
+/// on the free list).
+#[derive(Debug, Clone)]
+struct Interned {
+    entry: RouteEntry,
+    refs: u32,
+}
+
+/// Every distinct entry of one FIB, ref-counted by the trie nodes that
+/// route through it. A route reference is 1 + the entry's slot index.
+#[derive(Debug, Clone, Default)]
+struct EntryTable {
+    slots: Vec<Interned>,
+    /// Entry → slot, for live entries only. Probed, never iterated.
+    index: HashMap<RouteEntry, u32>,
+    /// Dead slots, reused before the table grows.
+    free: Vec<u32>,
+    /// Sum of all refcounts: the number of installed routes.
+    routes: usize,
+}
+
+impl EntryTable {
+    fn get(&self, route: u32) -> &RouteEntry {
+        &self.slots[(route - 1) as usize].entry
+    }
+
+    /// A reference to `entry`'s interned copy, counting one more route.
+    fn intern(&mut self, entry: RouteEntry) -> u32 {
+        self.routes += 1;
+        if let Some(&i) = self.index.get(&entry) {
+            self.slots[i as usize].refs += 1;
+            return i + 1;
+        }
+        let slot = Interned {
+            entry: entry.clone(),
+            refs: 1,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(entry, i);
+        i + 1
+    }
+
+    /// Drops one route from a reference; the entry when that was its last
+    /// route (its slot is freed).
+    fn unref(&mut self, route: u32) -> Option<RouteEntry> {
+        self.routes -= 1;
+        let i = route - 1;
+        let slot = &mut self.slots[i as usize];
+        slot.refs -= 1;
+        if slot.refs > 0 {
+            return None;
+        }
+        self.free.push(i);
+        self.index.remove_entry(&slot.entry).map(|(entry, _)| entry)
+    }
+
+    /// [`EntryTable::unref`], copying the entry out when other routes
+    /// still use it.
+    fn release(&mut self, route: u32) -> RouteEntry {
+        match self.unref(route) {
+            Some(entry) => entry,
+            None => self.get(route).clone(),
+        }
+    }
 }
 
 /// A longest-prefix-match FIB.
 #[derive(Debug, Clone)]
 pub struct Fib {
     nodes: Vec<TrieNode>,
-    route_count: usize,
+    /// Boxed so a router's forwarding state stays as small as a switch's.
+    entries: Box<EntryTable>,
 }
 
 impl Default for Fib {
@@ -76,68 +163,87 @@ impl Fib {
     pub fn new() -> Fib {
         Fib {
             nodes: vec![TrieNode::default()],
-            route_count: 0,
+            entries: Box::default(),
         }
     }
 
     /// Number of installed routes.
     pub fn len(&self) -> usize {
-        self.route_count
+        self.entries.routes
     }
 
     /// True if no routes are installed.
     pub fn is_empty(&self) -> bool {
-        self.route_count == 0
+        self.entries.routes == 0
     }
 
     /// Inserts (or replaces) the route for `prefix`. Returns the previous
     /// entry if one existed.
     pub fn insert(&mut self, prefix: Ipv4Prefix, entry: RouteEntry) -> Option<RouteEntry> {
-        let idx = self
-            .walk_to(prefix, true)
-            .expect("create=true always finds");
-        let old = self.nodes[idx as usize].route.replace(entry);
-        if old.is_none() {
-            self.route_count += 1;
+        let idx = self.walk_to_or_create(prefix);
+        let route = self.entries.intern(entry);
+        let old = std::mem::replace(&mut self.nodes[idx].route, route);
+        (old != NONE).then(|| self.entries.release(old))
+    }
+
+    /// Installs `entry` for `prefix`, returning true when the FIB changed
+    /// (an equal route already installed is a no-op). Unlike
+    /// [`Fib::insert`], never copies an entry out.
+    pub fn install(&mut self, prefix: Ipv4Prefix, entry: RouteEntry) -> bool {
+        let idx = self.walk_to_or_create(prefix);
+        let old = self.nodes[idx].route;
+        if old != NONE && self.entries.get(old) == &entry {
+            return false;
         }
-        old
+        self.nodes[idx].route = self.entries.intern(entry);
+        if old != NONE {
+            self.entries.unref(old);
+        }
+        true
     }
 
     /// Removes the route for `prefix`, returning it if present.
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<RouteEntry> {
-        let idx = self.walk_to(prefix, false)?;
-        let old = self.nodes[idx as usize].route.take();
-        if old.is_some() {
-            self.route_count -= 1;
+        let old = self.take_route(prefix)?;
+        Some(self.entries.release(old))
+    }
+
+    /// Removes the route for `prefix`, returning true when one was
+    /// installed. Unlike [`Fib::remove`], never copies an entry out.
+    pub fn uninstall(&mut self, prefix: Ipv4Prefix) -> bool {
+        match self.take_route(prefix) {
+            Some(old) => {
+                self.entries.unref(old);
+                true
+            }
+            None => false,
         }
-        old
     }
 
     /// The exact-match entry for `prefix`, if installed.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&RouteEntry> {
         let idx = self.walk_to_ref(prefix)?;
-        self.nodes[idx as usize].route.as_ref()
+        self.route_of(idx)
     }
 
     /// Longest-prefix-match lookup: the most specific entry covering `dst`.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<(Ipv4Prefix, &RouteEntry)> {
         let bits = u32::from(dst);
         let mut idx = 0u32;
-        let mut best: Option<(u8, u32)> = self.nodes[0].route.as_ref().map(|_| (0u8, 0u32));
+        let mut best: Option<(u8, u32)> = (self.nodes[0].route != NONE).then_some((0u8, 0u32));
         for depth in 0..32u8 {
             let bit = ((bits >> (31 - depth)) & 1) as usize;
-            match self.nodes[idx as usize].children[bit] {
-                Some(next) => {
-                    idx = next;
-                    if self.nodes[idx as usize].route.is_some() {
-                        best = Some((depth + 1, idx));
-                    }
-                }
-                None => break,
+            let next = self.nodes[idx as usize].children[bit];
+            if next == NONE {
+                break;
+            }
+            idx = next;
+            if self.nodes[idx as usize].route != NONE {
+                best = Some((depth + 1, idx));
             }
         }
         best.map(|(len, idx)| {
-            let entry = self.nodes[idx as usize].route.as_ref().expect("tracked");
+            let entry = self.route_of(idx).expect("tracked");
             // Reconstruct the prefix from dst + len (host bits masked).
             (Ipv4Prefix::new(dst, len), entry)
         })
@@ -145,7 +251,7 @@ impl Fib {
 
     /// All installed `(prefix, entry)` pairs, in trie (lexicographic) order.
     pub fn iter(&self) -> Vec<(Ipv4Prefix, &RouteEntry)> {
-        let mut out = Vec::with_capacity(self.route_count);
+        let mut out = Vec::with_capacity(self.len());
         self.collect(0, 0, 0, &mut out);
         out
     }
@@ -154,14 +260,25 @@ impl Fib {
     /// reset), returning how many were removed.
     pub fn flush_origin(&mut self, origin: RouteOrigin) -> usize {
         let mut removed = 0;
-        for n in &mut self.nodes {
-            if n.route.as_ref().is_some_and(|r| r.origin == origin) {
-                n.route = None;
+        for node in &mut self.nodes {
+            if node.route != NONE && self.entries.get(node.route).origin == origin {
+                self.entries.unref(std::mem::replace(&mut node.route, NONE));
                 removed += 1;
             }
         }
-        self.route_count -= removed;
         removed
+    }
+
+    fn route_of(&self, idx: u32) -> Option<&RouteEntry> {
+        let route = self.nodes[idx as usize].route;
+        (route != NONE).then(|| self.entries.get(route))
+    }
+
+    /// Clears `prefix`'s route, returning the reference it held.
+    fn take_route(&mut self, prefix: Ipv4Prefix) -> Option<u32> {
+        let idx = self.walk_to_ref(prefix)? as usize;
+        let old = std::mem::replace(&mut self.nodes[idx].route, NONE);
+        (old != NONE).then_some(old)
     }
 
     fn collect<'a>(
@@ -171,35 +288,35 @@ impl Fib {
         depth: u8,
         out: &mut Vec<(Ipv4Prefix, &'a RouteEntry)>,
     ) {
-        let node = &self.nodes[idx as usize];
-        if let Some(route) = &node.route {
+        if let Some(route) = self.route_of(idx) {
             let addr = Ipv4Addr::from(if depth == 0 { 0 } else { acc << (32 - depth) });
             out.push((Ipv4Prefix::new(addr, depth), route));
         }
         for bit in 0..2u32 {
-            if let Some(child) = node.children[bit as usize] {
+            let child = self.nodes[idx as usize].children[bit as usize];
+            if child != NONE {
                 self.collect(child, (acc << 1) | bit, depth + 1, out);
             }
         }
     }
 
-    fn walk_to(&mut self, prefix: Ipv4Prefix, create: bool) -> Option<u32> {
+    /// The node for `prefix`, creating the path to it as needed.
+    fn walk_to_or_create(&mut self, prefix: Ipv4Prefix) -> usize {
         let bits = u32::from(prefix.network());
-        let mut idx = 0u32;
+        let mut idx = 0usize;
         for depth in 0..prefix.len() {
             let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = match self.nodes[idx as usize].children[bit] {
-                Some(next) => next,
-                None if create => {
+            idx = match self.nodes[idx].children[bit] {
+                NONE => {
                     let next = self.nodes.len() as u32;
                     self.nodes.push(TrieNode::default());
-                    self.nodes[idx as usize].children[bit] = Some(next);
-                    next
+                    self.nodes[idx].children[bit] = next;
+                    next as usize
                 }
-                None => return None,
+                next => next as usize,
             };
         }
-        Some(idx)
+        idx
     }
 
     fn walk_to_ref(&self, prefix: Ipv4Prefix) -> Option<u32> {
@@ -207,7 +324,10 @@ impl Fib {
         let mut idx = 0u32;
         for depth in 0..prefix.len() {
             let bit = ((bits >> (31 - depth)) & 1) as usize;
-            idx = self.nodes[idx as usize].children[bit]?;
+            idx = self.nodes[idx as usize].children[bit];
+            if idx == NONE {
+                return None;
+            }
         }
         Some(idx)
     }
@@ -327,6 +447,37 @@ mod tests {
         assert_eq!(fib.len(), 1);
         assert!(fib.lookup(Ipv4Addr::new(10, 0, 0, 1)).is_some());
         assert!(fib.lookup(Ipv4Addr::new(10, 0, 1, 1)).is_none());
+    }
+
+    #[test]
+    fn equal_entries_are_interned_once_and_freed_with_their_last_route() {
+        assert_eq!(std::mem::size_of::<TrieNode>(), 12);
+        assert!(std::mem::size_of::<Fib>() <= 4 * std::mem::size_of::<usize>());
+        let mut fib = Fib::new();
+        for i in 0..100u8 {
+            assert!(fib.install(p(&format!("10.{i}.0.0/16")), entry(&[1])));
+        }
+        fib.insert(p("10.200.0.0/16"), entry(&[2]));
+        assert_eq!(
+            fib.entries.index.len(),
+            2,
+            "101 routes, two distinct entries"
+        );
+        assert!(!fib.install(p("10.7.0.0/16"), entry(&[1])), "same route");
+        assert!(fib.install(p("10.7.0.0/16"), entry(&[2])));
+        assert_eq!(fib.remove(p("10.200.0.0/16")), Some(entry(&[2])));
+        assert!(fib.uninstall(p("10.7.0.0/16")));
+        assert!(!fib.uninstall(p("10.7.0.0/16")));
+        assert_eq!(
+            fib.entries.index.len(),
+            1,
+            "port 2's entry lost its last route"
+        );
+        assert_eq!(fib.entries.free.len(), 1);
+        fib.insert(p("10.201.0.0/16"), entry(&[3]));
+        assert_eq!(fib.entries.slots.len(), 2, "the freed slot is reused");
+        assert_eq!(fib.flush_origin(RouteOrigin::Static), 100);
+        assert!(fib.is_empty() && fib.entries.index.is_empty());
     }
 
     #[test]

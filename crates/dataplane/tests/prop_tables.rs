@@ -18,65 +18,99 @@ fn prefixes() -> impl Strategy<Value = Ipv4Prefix> {
 
 #[derive(Debug, Clone)]
 enum FibOp {
-    Insert(Ipv4Prefix, u16),
+    Insert(Ipv4Prefix, u16, RouteOrigin),
     Remove(Ipv4Prefix),
     Lookup(u32),
+    Get(Ipv4Prefix),
+    FlushOrigin(RouteOrigin),
+}
+
+/// Two origins, so a flush keeps some routes and drops others.
+fn fib_origins() -> impl Strategy<Value = RouteOrigin> {
+    prop_oneof![Just(RouteOrigin::Static), Just(RouteOrigin::Bgp)]
 }
 
 fn fib_ops() -> impl Strategy<Value = Vec<FibOp>> {
     prop::collection::vec(
         prop_oneof![
-            (prefixes(), 0u16..16).prop_map(|(p, port)| FibOp::Insert(p, port)),
+            (prefixes(), 0u16..16, fib_origins())
+                .prop_map(|(p, port, origin)| FibOp::Insert(p, port, origin)),
             prefixes().prop_map(FibOp::Remove),
             (0u32..=0x1ffff).prop_map(FibOp::Lookup),
+            prefixes().prop_map(FibOp::Get),
+            fib_origins().prop_map(FibOp::FlushOrigin),
         ],
         0..120,
     )
 }
 
 fn entry(port: u16) -> RouteEntry {
+    entry_from(port, RouteOrigin::Static)
+}
+
+fn entry_from(port: u16, origin: RouteOrigin) -> RouteEntry {
     RouteEntry::new(
         vec![NextHop {
             port: PortId(port),
             gateway: Ipv4Addr::UNSPECIFIED,
         }],
-        RouteOrigin::Static,
+        origin,
     )
 }
 
 proptest! {
     /// The trie behaves exactly like a Vec of (prefix → entry) with
-    /// longest-prefix-wins lookup.
+    /// longest-prefix-wins lookup, across the whole API: the entry
+    /// `insert` replaces, exact-match `get`, `remove`, `flush_origin`,
+    /// `len` and, at the end, `iter`.
     #[test]
     fn fib_matches_naive_model(ops in fib_ops()) {
         let mut fib = Fib::new();
-        let mut model: Vec<(Ipv4Prefix, u16)> = Vec::new();
+        let mut model: Vec<(Ipv4Prefix, RouteEntry)> = Vec::new();
+        let find = |model: &[(Ipv4Prefix, RouteEntry)], p: Ipv4Prefix| {
+            model.iter().find(|(mp, _)| *mp == p).map(|(_, e)| e.clone())
+        };
         for op in ops {
             match op {
-                FibOp::Insert(p, port) => {
-                    fib.insert(p, entry(port));
+                FibOp::Insert(p, port, origin) => {
+                    let e = entry_from(port, origin);
+                    let prev = fib.insert(p, e.clone());
+                    prop_assert_eq!(prev, find(&model, p));
                     model.retain(|(mp, _)| *mp != p);
-                    model.push((p, port));
+                    model.push((p, e));
                 }
                 FibOp::Remove(p) => {
-                    let trie = fib.remove(p).is_some();
-                    let had = model.iter().any(|(mp, _)| *mp == p);
+                    let trie = fib.remove(p);
+                    prop_assert_eq!(trie, find(&model, p));
                     model.retain(|(mp, _)| *mp != p);
-                    prop_assert_eq!(trie, had);
                 }
                 FibOp::Lookup(bits) => {
                     let dst = Ipv4Addr::from(0x0a00_0000 | bits);
-                    let got = fib.lookup(dst).map(|(p, e)| (p, e.next_hops[0].port.0));
+                    let got = fib.lookup(dst).map(|(p, e)| (p, e.clone()));
                     let want = model
                         .iter()
                         .filter(|(p, _)| p.contains(dst))
                         .max_by_key(|(p, _)| p.len())
-                        .map(|(p, port)| (*p, *port));
+                        .map(|(p, e)| (*p, e.clone()));
                     prop_assert_eq!(got, want);
+                }
+                FibOp::Get(p) => {
+                    prop_assert_eq!(fib.get(p).cloned(), find(&model, p));
+                }
+                FibOp::FlushOrigin(origin) => {
+                    let before = model.len();
+                    model.retain(|(_, e)| e.origin != origin);
+                    prop_assert_eq!(fib.flush_origin(origin), before - model.len());
                 }
             }
             prop_assert_eq!(fib.len(), model.len());
         }
+        let mut want = model;
+        want.sort_by_key(|(p, _)| *p);
+        let mut got: Vec<(Ipv4Prefix, RouteEntry)> =
+            fib.iter().into_iter().map(|(p, e)| (p, e.clone())).collect();
+        got.sort_by_key(|(p, _)| *p);
+        prop_assert_eq!(got, want);
     }
 
     /// Fuzzing decode surfaces: random destination addresses against a
