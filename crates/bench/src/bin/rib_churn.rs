@@ -214,7 +214,12 @@ impl OldNode {
     }
 }
 
-fn replay_new(setups: &BTreeMap<NodeId, BgpNodeSetup>, trace: &[(NodeId, Ev)]) -> (RibStats, f64) {
+/// Replays `trace` through one standalone `LocRib` per node: the summed
+/// work counters, the summed attribute-pool sizes and the wall time.
+fn replay_new(
+    setups: &BTreeMap<NodeId, BgpNodeSetup>,
+    trace: &[(NodeId, Ev)],
+) -> (RibStats, u64, f64) {
     let mut nodes: BTreeMap<NodeId, NewNode> = setups
         .iter()
         .map(|(n, s)| {
@@ -280,7 +285,8 @@ fn replay_new(setups: &BTreeMap<NodeId, BgpNodeSetup>, trace: &[(NodeId, Ev)]) -
         s.export_cache_misses = n.export_misses;
         total.merge(&s);
     }
-    (total, wall)
+    let attr_store_size = nodes.values().map(|n| n.rib.attr_pool().len() as u64).sum();
+    (total, attr_store_size, wall)
 }
 
 fn replay_old(
@@ -478,8 +484,10 @@ fn main() {
     }
 
     let mut speaker_rib = RibStats::default();
+    let mut speaker_attr_store_size = 0u64;
     for s in net.speakers.values() {
         speaker_rib.merge(&s.rib_stats());
+        speaker_attr_store_size += s.rib().attr_pool().len() as u64;
     }
     let updates = trace
         .iter()
@@ -488,7 +496,7 @@ fn main() {
     let session_events = trace.len() - updates;
 
     // Phase 3: replay the identical trace through both RIB models.
-    let (new_stats, new_wall) = replay_new(&setups, &trace);
+    let (new_stats, new_attr_store_size, new_wall) = replay_new(&setups, &trace);
     let (old_stats, old_wall) = replay_old(&setups, &trace);
 
     let work_ratio = old_stats.decision_work() as f64 / new_stats.decision_work().max(1) as f64;
@@ -619,7 +627,7 @@ fn main() {
         new_stats.candidate_touches,
         new_stats.attr_interns,
         new_stats.attr_reuses,
-        new_stats.attr_store_size,
+        new_attr_store_size,
         new_stats.export_cache_hits,
         new_stats.export_cache_misses,
         new_stats.decision_work(),
@@ -643,7 +651,7 @@ fn main() {
         speaker_rib.candidate_touches,
         speaker_rib.attr_interns,
         speaker_rib.attr_reuses,
-        speaker_rib.attr_store_size,
+        speaker_attr_store_size,
         speaker_rib.export_cache_hits,
         speaker_rib.export_cache_misses,
     );

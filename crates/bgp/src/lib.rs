@@ -19,7 +19,8 @@
 //!   multipath relaxation (equal local-pref, AS-path length, origin and
 //!   MED routes form a multipath set, as `maximum-paths` does in real
 //!   routers — the demo's "BGP + ECMP" scenario depends on this). The RIB
-//!   is built around hash-consed path attributes ([`rib::AttrStore`]) and
+//!   is built around path attributes and prefixes interned in per-run
+//!   pools ([`rib::AttrPool`], [`horse_net::intern::PrefixPool`]) and
 //!   copy-on-write candidate sets shared by prefixes, each with its own
 //!   memoized decision — the route-churn fast path.
 //! * [`policy`] — per-peer import/export route-maps (prefix / community /
@@ -45,6 +46,6 @@ pub use policy::{
     gao_rexford_policy, AsPathRegex, PeerPolicy, PeerRole, PolicyAction, PolicyVerdict,
     PrefixMatch, RouteMap, RouteMapClause, RouteMapMatch, RouteMapSet,
 };
-pub use rib::{AttrId, AttrPool, AttrStore, Decision, LocRib, RibStats, RouteInfo};
+pub use rib::{AttrId, AttrPool, Decision, LocRib, RibStats, RouteInfo};
 pub use session::{PeerConfig, Session, SessionState};
 pub use speaker::{BgpConfig, BgpSpeaker, SpeakerOutput};

@@ -218,7 +218,7 @@ pub struct OpenMsg {
 /// An UPDATE message.
 ///
 /// Attributes ride behind an [`Arc`] so a message built from an interned
-/// attribute set (see [`crate::rib::AttrStore`]) shares the canonical
+/// attribute set (see [`crate::rib::AttrPool`]) shares the canonical
 /// allocation instead of deep-cloning the nested AS-path vectors; the wire
 /// encoding is unchanged.
 #[derive(Debug, Clone, PartialEq, Default)]

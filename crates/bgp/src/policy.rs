@@ -16,7 +16,7 @@
 //! attributes are interned, and export inside the speaker's
 //! `export_route`, keyed into the export cache with a policy epoch.
 //! Policy-modified attribute sets intern through the same
-//! [`crate::rib::AttrStore`] as unmodified ones.
+//! [`crate::rib::AttrPool`] as unmodified ones.
 //!
 //! [`PeerRole`] + [`gao_rexford_policy`] compile the classic valley-free
 //! business relationships (Gao & Rexford 2001) down to plain route-maps:

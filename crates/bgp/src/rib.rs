@@ -25,15 +25,21 @@
 //! **nothing keyed by an address struct** on the hot path, and **nothing
 //! per prefix but one `u32`**:
 //!
-//! * [`AttrStore`] hash-conses [`PathAttributes`] into `Arc`-backed
+//! * An [`AttrPool`] hash-conses [`PathAttributes`] into `Arc`-backed
 //!   canonical entries with stable [`AttrId`]s; ranking inputs are
-//!   precomputed at intern time. An [`AttrPool`] wraps the store in a
-//!   shared handle so every speaker in a run interns each attribute set
-//!   **once per process**, not once per speaker.
-//! * Prefixes and peer addresses are interned to `u32` ids
-//!   ([`PrefixId`]/[`PeerId`], first-intern order, same discipline as
-//!   `AttrId`). Per-peer Adj-RIB-In membership is a bitset over prefix
-//!   ids.
+//!   precomputed at intern time.
+//! * Prefixes are interned to [`PrefixId`]s in a [`PrefixPool`], peer
+//!   addresses to per-RIB [`PeerId`](horse_net::intern::PeerId)s (`u32`s
+//!   in first-intern order, the same discipline as `AttrId`). Per-peer
+//!   Adj-RIB-In membership is a bitset over prefix ids.
+//! * Every RIB draws attribute and prefix ids from **per-run pools**: the
+//!   run's owner ([`LocRib::new_shared_pools`]) hands one pair to every
+//!   speaker, so each attribute set and prefix is interned once per run,
+//!   not once per speaker; a standalone [`LocRib::new`] gets a fresh
+//!   pair. There is one size rule: the pools' owner reads their `len()`.
+//!   A shared prefix space means another RIB's ids can lie beyond this
+//!   one's arenas; every arena read treats such an id as "no
+//!   candidates".
 //! * Per prefix, `set_of` names a **candidate set**: a small `Vec` sorted
 //!   by `(remote, peer address)` — byte-for-byte the iteration order of
 //!   the old `BTreeMap<CandKey, _>`, which the `min_by` tie-break (step 7)
@@ -69,13 +75,13 @@
 
 use crate::msg::{Origin, PathAttributes, UpdateMsg};
 use horse_net::addr::Ipv4Prefix;
-use horse_net::intern::{IdSet, PeerInterner, PrefixId, PrefixInterner, PrefixPool};
+use horse_net::intern::{IdSet, PeerInterner, PrefixId, PrefixPool};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-/// Stable identifier of an interned attribute set inside one [`AttrStore`].
+/// Stable identifier of an interned attribute set inside one [`AttrPool`].
 ///
 /// Ids are assigned in first-intern order, so equal event sequences produce
 /// equal ids — they are deterministic and never reused or compacted.
@@ -106,7 +112,7 @@ pub(crate) struct AttrMeta {
 /// never-seen attribute set. The map is keyed by the `Arc` (hashing the
 /// inner value), so lookups by borrowed `PathAttributes` never allocate.
 #[derive(Debug, Clone, Default)]
-pub struct AttrStore {
+pub(crate) struct AttrStore {
     ids: HashMap<Arc<PathAttributes>, AttrId>,
     metas: Vec<AttrMeta>,
     /// Distinct sets created (cache misses).
@@ -167,9 +173,7 @@ impl AttrStore {
         self.metas.is_empty()
     }
 
-    /// Rough heap footprint of the store: canonical attribute allocations
-    /// plus table overhead. An estimate for observability (`mem_*` report
-    /// counters), not an allocator measurement.
+    /// See [`AttrPool::bytes_estimate`].
     pub fn bytes_estimate(&self) -> u64 {
         let mut total = 0u64;
         for m in &self.metas {
@@ -210,7 +214,8 @@ impl AttrStore {
     }
 }
 
-/// A shared handle to one [`AttrStore`].
+/// A shared handle to one attribute store: the hash-consing table behind
+/// every [`AttrId`].
 ///
 /// `BgpControl` creates one pool per run and hands a clone to every
 /// speaker, so a 1000-node experiment interns each distinct attribute set
@@ -244,7 +249,7 @@ impl AttrPool {
 
     /// Read access to the underlying store (held briefly — never across a
     /// call back into a RIB).
-    pub fn read(&self) -> RwLockReadGuard<'_, AttrStore> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, AttrStore> {
         self.0.read().expect("attr pool lock poisoned")
     }
 
@@ -289,7 +294,9 @@ impl AttrPool {
         self.read().is_empty()
     }
 
-    /// See [`AttrStore::bytes_estimate`].
+    /// Rough heap footprint of the pool: canonical attribute allocations
+    /// plus table overhead. An estimate for observability (`mem_*` report
+    /// counters), not an allocator measurement.
     pub fn bytes_estimate(&self) -> u64 {
         self.read().bytes_estimate()
     }
@@ -323,16 +330,12 @@ pub struct RibStats {
     pub invalidations: u64,
     /// Candidates examined across all recomputes.
     pub candidate_touches: u64,
-    /// Distinct attribute sets this RIB created in its (possibly shared)
-    /// store.
+    /// Distinct attribute sets this RIB created in the run's attribute
+    /// pool.
     pub attr_interns: u64,
-    /// Attribute-set intern hits (deep clones avoided — with a shared
-    /// pool, sets first interned by *another* speaker count here).
+    /// Attribute-set intern hits (deep clones avoided — sets first
+    /// interned by *another* speaker count here).
     pub attr_reuses: u64,
-    /// Attribute-store size. Reported only by RIBs owning a private store;
-    /// with a shared pool the owner (`BgpControl`) reports the pool size
-    /// once, so merged figures never double-count.
-    pub attr_store_size: u64,
     /// Export-policy results served from the per-peer cache.
     pub export_cache_hits: u64,
     /// Export-policy computations (cache misses).
@@ -340,8 +343,7 @@ pub struct RibStats {
 }
 
 impl RibStats {
-    /// Accumulates `other` (store sizes add — aggregated over speakers the
-    /// sum is the fleet-wide distinct-attribute footprint).
+    /// Accumulates `other`.
     pub fn merge(&mut self, other: &RibStats) {
         self.decide_calls += other.decide_calls;
         self.decide_cache_hits += other.decide_cache_hits;
@@ -350,7 +352,6 @@ impl RibStats {
         self.candidate_touches += other.candidate_touches;
         self.attr_interns += other.attr_interns;
         self.attr_reuses += other.attr_reuses;
-        self.attr_store_size += other.attr_store_size;
         self.export_cache_hits += other.export_cache_hits;
         self.export_cache_misses += other.export_cache_misses;
     }
@@ -450,7 +451,7 @@ struct CandSet {
 pub struct RouteInfo {
     /// Canonical attributes as received (or as originated).
     pub attrs: Arc<PathAttributes>,
-    /// Interned id of `attrs` in the owning RIB's store.
+    /// Interned id of `attrs` in the owning RIB's attribute pool.
     pub attr_id: AttrId,
     /// The peer this was learned from (`0.0.0.0` for local origination).
     pub peer: Ipv4Addr,
@@ -484,79 +485,21 @@ pub struct Decision {
     pub next_hop_set: u32,
 }
 
-/// The RIB's prefix-id table: private per speaker, or a handle to the
-/// per-run [`PrefixPool`] every speaker shares. A shared table gives the
-/// whole fleet one id space — a 1000-node full mesh interns each prefix
-/// once, not once per speaker — but means ids created by *other* speakers
-/// can exceed this RIB's `set_of` arena, so every arena-indexing path must
-/// treat an out-of-range id as "no local candidates".
-#[derive(Debug, Clone)]
-enum PrefixTable {
-    Local(PrefixInterner),
-    Shared(PrefixPool),
-}
-
-impl Default for PrefixTable {
-    fn default() -> Self {
-        PrefixTable::Local(PrefixInterner::default())
-    }
-}
-
-impl PrefixTable {
-    fn intern(&mut self, p: Ipv4Prefix) -> PrefixId {
-        match self {
-            PrefixTable::Local(t) => t.intern(p),
-            PrefixTable::Shared(t) => t.intern(p),
-        }
-    }
-
-    fn get(&self, p: Ipv4Prefix) -> Option<PrefixId> {
-        match self {
-            PrefixTable::Local(t) => t.get(p),
-            PrefixTable::Shared(t) => t.get(p),
-        }
-    }
-
-    fn value(&self, id: PrefixId) -> Ipv4Prefix {
-        match self {
-            PrefixTable::Local(t) => t.value(id),
-            PrefixTable::Shared(t) => t.value(id),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PrefixTable::Local(t) => t.len(),
-            PrefixTable::Shared(t) => t.len(),
-        }
-    }
-
-    fn sort_by_value(&self, ids: &mut Vec<PrefixId>) {
-        match self {
-            PrefixTable::Local(t) => t.sort_by_value(ids),
-            PrefixTable::Shared(t) => t.sort_by_value(ids),
-        }
-    }
-
-    fn is_shared(&self) -> bool {
-        matches!(self, PrefixTable::Shared(_))
-    }
-}
-
 /// The speaker's RIB collection (compact-id shape).
 #[derive(Debug, Clone)]
 pub struct LocRib {
     local_as: u16,
     multipath: bool,
+    /// The run's attribute pool, shared with every RIB in the run.
     pool: AttrPool,
-    /// True when `pool` is shared with other RIBs (size reporting moves to
-    /// the pool owner).
-    pool_shared: bool,
     /// Distinct attribute sets *this RIB* created in the pool.
     interns: Cell<u64>,
     /// Intern hits (including sets first created by other sharers).
     reuses: Cell<u64>,
-    prefixes: PrefixTable,
+    /// The run's prefix-id space, shared with every RIB in the run. Ids
+    /// other RIBs interned can lie beyond `set_of`, so every
+    /// arena-indexing path reads an out-of-range id as the empty set.
+    prefixes: PrefixPool,
     peers: PeerInterner,
     /// Per peer id: the prefix ids it currently contributes.
     adj_in: Vec<IdSet>,
@@ -573,60 +516,21 @@ pub struct LocRib {
     /// Edits begun so far; dates `CandSet::moved_by`.
     edits: u64,
     /// Next-hop sets interned by `compute`, ids from 1. Grows with the
-    /// distinct sets seen, like the attribute store.
+    /// distinct sets seen, like the attribute pool.
     hop_sets: RefCell<HashMap<Vec<Ipv4Addr>, u32>>,
     stats: RefCell<RibStats>,
 }
 
-impl Default for LocRib {
-    fn default() -> Self {
-        LocRib {
-            local_as: 0,
-            multipath: false,
-            pool: AttrPool::default(),
-            pool_shared: false,
-            interns: Cell::default(),
-            reuses: Cell::default(),
-            prefixes: PrefixTable::default(),
-            peers: PeerInterner::default(),
-            adj_in: Vec::new(),
-            set_of: Vec::new(),
-            live: 0,
-            sets: vec![CandSet::default()],
-            free_sets: Vec::new(),
-            dead_sets: Vec::new(),
-            edits: 0,
-            hop_sets: RefCell::default(),
-            stats: RefCell::default(),
-        }
-    }
-}
-
 impl LocRib {
-    /// A RIB for a speaker in `local_as`, with a private attribute store.
+    /// A RIB for a speaker in `local_as`, alone on fresh pools.
     pub fn new(local_as: u16, multipath: bool) -> LocRib {
-        LocRib {
-            local_as,
-            multipath,
-            ..LocRib::default()
-        }
+        LocRib::new_shared_pools(local_as, multipath, AttrPool::new(), PrefixPool::new())
     }
 
-    /// A RIB sharing a per-run [`AttrPool`] with other speakers.
-    pub fn new_shared(local_as: u16, multipath: bool, pool: AttrPool) -> LocRib {
-        LocRib {
-            local_as,
-            multipath,
-            pool,
-            pool_shared: true,
-            ..LocRib::default()
-        }
-    }
-
-    /// A RIB sharing both per-run pools — attribute sets *and* the prefix
-    /// id space — with other speakers. This is the shape the parallel pump
-    /// runs: the pools are lock-light and the id tables fleet-global, so a
-    /// prefix announced everywhere costs one intern, not one per speaker.
+    /// A RIB drawing attribute and prefix ids from per-run pools it shares
+    /// with the rest of the fleet, so an attribute set or prefix known to
+    /// every speaker costs one intern per run, not one per speaker. The
+    /// pools' owner reports their sizes; a RIB never does.
     pub fn new_shared_pools(
         local_as: u16,
         multipath: bool,
@@ -637,9 +541,19 @@ impl LocRib {
             local_as,
             multipath,
             pool,
-            pool_shared: true,
-            prefixes: PrefixTable::Shared(prefixes),
-            ..LocRib::default()
+            interns: Cell::default(),
+            reuses: Cell::default(),
+            prefixes,
+            peers: PeerInterner::default(),
+            adj_in: Vec::new(),
+            set_of: Vec::new(),
+            live: 0,
+            sets: vec![CandSet::default()],
+            free_sets: Vec::new(),
+            dead_sets: Vec::new(),
+            edits: 0,
+            hop_sets: RefCell::default(),
+            stats: RefCell::default(),
         }
     }
 
@@ -982,7 +896,8 @@ impl LocRib {
         self.sets.len() - 1 - self.free_sets.len() - self.dead_sets.len()
     }
 
-    /// The id of a prefix, if it was ever announced or originated here.
+    /// The id of a prefix in the run's prefix pool, if any RIB sharing
+    /// the pool ever announced or originated it — not necessarily this one.
     pub fn prefix_id(&self, prefix: Ipv4Prefix) -> Option<PrefixId> {
         self.prefixes.get(prefix)
     }
@@ -997,20 +912,14 @@ impl LocRib {
         self.prefixes.sort_by_value(ids);
     }
 
-    /// `(prefix table size, peer table size)` — interner footprints for
-    /// the `mem_*` report counters. Monotone, so also the peaks.
-    pub fn interner_sizes(&self) -> (usize, usize) {
-        // A shared prefix table is reported once by its owner (the control
-        // plane), not by every sharer — mirroring `attr_store_size`.
-        let prefixes = if self.prefixes.is_shared() {
-            0
-        } else {
-            self.prefixes.len()
-        };
-        (prefixes, self.peers.len())
+    /// Number of distinct peer addresses interned — monotone, so also the
+    /// peak. The prefix and attribute tables belong to the run's pools,
+    /// whose owner reads their `len()`.
+    pub fn peer_count(&self) -> usize {
+        self.peers.len()
     }
 
-    /// The (possibly shared) attribute pool.
+    /// The run's attribute pool this RIB interns into.
     pub fn attr_pool(&self) -> &AttrPool {
         &self.pool
     }
@@ -1038,18 +947,11 @@ impl LocRib {
         (s.decide_calls, s.decide_cache_hits)
     }
 
-    /// Snapshot of the work counters (attr-store figures filled in here).
+    /// Snapshot of the work counters (intern counts filled in here).
     pub fn stats(&self) -> RibStats {
         let mut s = *self.stats.borrow();
         s.attr_interns = self.interns.get();
         s.attr_reuses = self.reuses.get();
-        // A shared pool's size is reported once by its owner, not by every
-        // sharer (merged stats would multiply-count it).
-        s.attr_store_size = if self.pool_shared {
-            0
-        } else {
-            self.pool.len() as u64
-        };
         s
     }
 
@@ -1075,7 +977,7 @@ impl LocRib {
     pub fn decide_id(&self, id: PrefixId) -> Option<Arc<Decision>> {
         let mut stats = self.stats.borrow_mut();
         stats.decide_calls += 1;
-        // Ids beyond `set_of` (a shared-table id this RIB never interned)
+        // Ids beyond `set_of` (another RIB's prefix this one never saw)
         // are in the empty set, like withdrawn prefixes.
         let s = self.set_of.get(id.index()).copied().unwrap_or(EMPTY_SET);
         if s == EMPTY_SET {
@@ -1396,7 +1298,8 @@ mod tests {
 
     #[test]
     fn withdraw_of_unknown_prefix_does_not_intern() {
-        let mut rib = LocRib::new(65000, true);
+        let prefixes = PrefixPool::new();
+        let mut rib = LocRib::new_shared_pools(65000, true, AttrPool::new(), prefixes.clone());
         announce(&mut rib, [10, 0, 0, 1], &[1], "10.9.0.0/16");
         let u = UpdateMsg {
             withdrawn: vec![pfx("10.77.0.0/16")],
@@ -1406,7 +1309,7 @@ mod tests {
         let affected = rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 1), true, &u);
         assert!(affected.is_empty());
         assert_eq!(
-            rib.interner_sizes().0,
+            prefixes.len(),
             1,
             "only the announced prefix is in the table"
         );
@@ -1497,7 +1400,7 @@ mod tests {
         };
         rib.update_from_peer(Ipv4Addr::new(10, 0, 0, 2), true, &u2);
         let s = rib.stats();
-        assert_eq!(s.attr_store_size, 1, "one distinct attribute set");
+        assert_eq!(rib.attr_pool().len(), 1, "one distinct attribute set");
         assert_eq!(s.attr_interns, 1);
         assert_eq!(s.attr_reuses, 1, "second UPDATE reused the entry");
         let d1 = rib.decide(pfx("10.1.0.0/16")).unwrap();
@@ -1512,8 +1415,9 @@ mod tests {
     #[test]
     fn shared_pool_interns_once_across_ribs() {
         let pool = AttrPool::new();
-        let mut r1 = LocRib::new_shared(65001, true, pool.clone());
-        let mut r2 = LocRib::new_shared(65002, true, pool.clone());
+        let prefixes = PrefixPool::new();
+        let mut r1 = LocRib::new_shared_pools(65001, true, pool.clone(), prefixes.clone());
+        let mut r2 = LocRib::new_shared_pools(65002, true, pool.clone(), prefixes.clone());
         // Same peer address (hence same next-hop and identical attrs) seen
         // by both RIBs, as a route reflected through a shared neighbor is.
         announce(&mut r1, [10, 0, 0, 1], &[7, 8], "10.1.0.0/16");
@@ -1524,17 +1428,47 @@ mod tests {
         assert_eq!(s1.attr_interns, 1, "r1 created it");
         assert_eq!(s2.attr_interns, 0);
         assert_eq!(s2.attr_reuses, 1, "r2's intern was a fleet-wide reuse");
-        assert_eq!(
-            s1.attr_store_size + s2.attr_store_size,
-            0,
-            "sharers report 0 size; the pool owner reports it once"
-        );
+        assert_eq!(prefixes.len(), 2, "one fleet-wide prefix id space");
         // Decisions in both RIBs share the one canonical allocation.
         let d1 = r1.decide(pfx("10.1.0.0/16")).unwrap();
         let d2 = r2.decide(pfx("10.2.0.0/16")).unwrap();
         assert!(Arc::ptr_eq(&d1.best.attrs, &d2.best.attrs));
         assert!(r1.attr_pool().same_as(r2.attr_pool()));
         assert!(pool.bytes_estimate() > 0);
+    }
+
+    #[test]
+    fn foreign_prefix_ids_read_as_unreachable() {
+        // B holds one route; A then announces prefixes B never saw, so
+        // their ids in the shared prefix pool lie beyond B's arenas.
+        let (pool, prefixes) = (AttrPool::new(), PrefixPool::new());
+        let mut a = LocRib::new_shared_pools(65001, true, pool.clone(), prefixes.clone());
+        let mut b = LocRib::new_shared_pools(65002, true, pool, prefixes.clone());
+        let own = announce_all(&mut b, [10, 0, 0, 2], &[pfx("192.168.0.0/16")]);
+        let foreign = many(20);
+        let ids = announce_all(&mut a, [10, 0, 0, 1], &foreign);
+        assert_eq!(prefixes.len(), 21);
+        let arenas = |r: &LocRib| (r.prefix_count(), r.candidate_sets(), r.set_of.len());
+        let before = arenas(&b);
+        for (&p, &id) in foreign.iter().zip(&ids) {
+            assert!(b.decide(p).is_none());
+            assert!(b.decide_id(id).is_none());
+            assert_eq!(b.withdraw_local(p), None);
+        }
+        let u = UpdateMsg {
+            withdrawn: foreign.clone(),
+            attrs: None,
+            nlri: vec![],
+        };
+        assert!(b
+            .update_from_peer(Ipv4Addr::new(10, 0, 0, 1), true, &u)
+            .is_empty());
+        assert!(b
+            .update_from_peer(Ipv4Addr::new(10, 0, 0, 2), true, &u)
+            .is_empty());
+        assert_eq!(arenas(&b), before, "foreign ids never grow B's arenas");
+        assert_eq!(b.live_prefix_ids(), own);
+        assert_eq!(a.live_prefix_ids().len(), 20, "A is untouched");
     }
 
     #[test]

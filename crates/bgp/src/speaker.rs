@@ -36,11 +36,11 @@
 //! post-convergence reconcile allocates nothing.
 
 use crate::msg::UpdateMsg;
-use crate::rib::{AttrId, Decision, LocRib, RibStats};
+use crate::rib::{AttrId, AttrPool, Decision, LocRib, RibStats};
 use crate::session::{PeerConfig, Session, SessionEvent, SessionState, TimerConfig};
 use bytes::Bytes;
 use horse_net::addr::Ipv4Prefix;
-use horse_net::intern::{IdSet, PrefixId};
+use horse_net::intern::{IdSet, PrefixId, PrefixPool};
 use horse_sim::SimTime;
 use horse_trace::{ComponentLog, TraceData, Tracer};
 use std::collections::HashMap;
@@ -181,30 +181,18 @@ fn state_name(s: SessionState) -> &'static str {
 }
 
 impl BgpSpeaker {
-    /// Builds a speaker (idle until [`BgpSpeaker::start`]) with a private
-    /// attribute store.
+    /// Builds a speaker (idle until [`BgpSpeaker::start`]) alone on fresh
+    /// pools.
     pub fn new(config: BgpConfig) -> BgpSpeaker {
-        let rib = LocRib::new(config.asn, config.multipath);
-        BgpSpeaker::build(config, rib)
-    }
-
-    /// Builds a speaker whose RIB interns attributes in a shared per-run
-    /// [`crate::rib::AttrPool`].
-    pub fn new_with_pool(config: BgpConfig, pool: crate::rib::AttrPool) -> BgpSpeaker {
-        let rib = LocRib::new_shared(config.asn, config.multipath, pool);
-        BgpSpeaker::build(config, rib)
+        BgpSpeaker::new_with_pools(config, AttrPool::new(), PrefixPool::new())
     }
 
     /// Builds a speaker sharing both per-run pools — attribute sets and
-    /// the prefix id space — with the rest of the fleet. The shape the
-    /// parallel pump drains: pools are lock-light, and the speaker itself
-    /// holds no shared mutable state, so distinct speakers can be pumped
-    /// from distinct workers (see the `Send` assertion below).
-    pub fn new_with_pools(
-        config: BgpConfig,
-        pool: crate::rib::AttrPool,
-        prefixes: horse_net::intern::PrefixPool,
-    ) -> BgpSpeaker {
+    /// the prefix id space — with the rest of the fleet. The pools are
+    /// lock-light, and the speaker itself holds no shared mutable state,
+    /// so distinct speakers can be pumped from distinct workers (see the
+    /// `Send` assertion below).
+    pub fn new_with_pools(config: BgpConfig, pool: AttrPool, prefixes: PrefixPool) -> BgpSpeaker {
         let rib = LocRib::new_shared_pools(config.asn, config.multipath, pool, prefixes);
         BgpSpeaker::build(config, rib)
     }
@@ -1471,10 +1459,10 @@ mod tests {
 
     #[test]
     fn shared_pool_speakers_converge_identically() {
-        // Same two-router topology twice: private stores vs one shared
-        // pool. FIBs and message counts must be identical; the pool ends
-        // up with every distinct attribute set interned once.
-        let build = |pool: Option<crate::rib::AttrPool>| {
+        // Same two-router topology twice: fresh pools per speaker vs one
+        // shared pair. FIBs and message counts must be identical; the
+        // shared pools end up with every distinct value interned once.
+        let build = |pools: Option<(AttrPool, PrefixPool)>| {
             let mk = |asn, id: [u8; 4], peers: Vec<(Ipv4Addr, Ipv4Addr, u16)>, nets: Vec<&str>| {
                 let config = BgpConfig {
                     asn,
@@ -1492,8 +1480,8 @@ mod tests {
                     policies: Default::default(),
                     multipath: true,
                 };
-                match &pool {
-                    Some(p) => BgpSpeaker::new_with_pool(config, p.clone()),
+                match &pools {
+                    Some((a, p)) => BgpSpeaker::new_with_pools(config, a.clone(), p.clone()),
                     None => BgpSpeaker::new(config),
                 }
             };
@@ -1514,8 +1502,8 @@ mod tests {
             h
         };
         let private = build(None);
-        let pool = crate::rib::AttrPool::new();
-        let shared = build(Some(pool.clone()));
+        let (pool, prefixes) = (AttrPool::new(), PrefixPool::new());
+        let shared = build(Some((pool.clone(), prefixes.clone())));
         for i in 0..2 {
             assert_eq!(private.fib_of(i), shared.fib_of(i), "speaker {i} FIB");
             assert_eq!(
@@ -1523,18 +1511,18 @@ mod tests {
                 shared.speakers[i].msgs_sent()
             );
         }
-        // The pool holds the union of both speakers' distinct sets, and the
-        // per-speaker store-size figure is zeroed so a merged report counts
-        // the pool once.
-        let private_total: u64 = (0..2)
-            .map(|i| private.speakers[i].rib_stats().attr_store_size)
+        // The shared pool holds the union of both speakers' distinct sets;
+        // the prefix pool holds each of the three networks once.
+        let private_total: usize = (0..2)
+            .map(|i| private.speakers[i].rib().attr_pool().len())
             .sum();
-        assert!(pool.len() as u64 <= private_total);
+        assert!(pool.len() <= private_total);
         assert!(pool.len() >= 2, "both speakers interned into one pool");
-        let shared_total: u64 = (0..2)
-            .map(|i| shared.speakers[i].rib_stats().attr_store_size)
-            .sum();
-        assert_eq!(shared_total, 0);
+        assert!(shared.speakers[0]
+            .rib()
+            .attr_pool()
+            .same_as(shared.speakers[1].rib().attr_pool()));
+        assert_eq!(prefixes.len(), 3);
     }
 
     // ---- policy choke points ---------------------------------------------

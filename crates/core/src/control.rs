@@ -495,31 +495,26 @@ impl BgpControl {
         }
     }
 
-    /// RIB + export-cache work counters summed over every speaker. Sharers
-    /// report `attr_store_size = 0`; the pool's table is counted here once.
+    /// RIB + export-cache work counters summed over every speaker.
     pub fn rib_stats(&self) -> RibStats {
         let mut out = RibStats::default();
         for s in self.speakers.values() {
             out.merge(&s.rib_stats());
         }
-        out.attr_store_size += self.attr_pool.len() as u64;
         out
     }
 
-    /// Memory-shape figures for the report: summed interner sizes across
-    /// speakers plus the shared pool's entry count and byte estimate.
+    /// Memory-shape figures for the report: the run pools' sizes (counted
+    /// here, by their owner, once), peer ids summed over speakers, and the
+    /// attribute pool's byte estimate.
     pub fn mem_stats(&self) -> (u64, u64, u64, u64) {
-        // Speakers share the prefix pool and report 0 for it; count the
-        // pool's table here exactly once.
-        let mut prefix_ids = self.prefix_pool.len() as u64;
-        let mut peer_ids = 0u64;
-        for s in self.speakers.values() {
-            let (p, n) = s.rib().interner_sizes();
-            prefix_ids += p as u64;
-            peer_ids += n as u64;
-        }
+        let peer_ids = self
+            .speakers
+            .values()
+            .map(|s| s.rib().peer_count() as u64)
+            .sum();
         (
-            prefix_ids,
+            self.prefix_pool.len() as u64,
             peer_ids,
             self.attr_pool.len() as u64,
             self.attr_pool.bytes_estimate(),

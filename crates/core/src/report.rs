@@ -139,7 +139,8 @@ pub struct ExperimentReport {
     pub rib_attr_interns: u64,
     /// Attribute-set intern hits (deep clones avoided).
     pub rib_attr_reuses: u64,
-    /// Peak attribute-store size summed over speakers.
+    /// Entries in the run's attribute pool (monotone, so also its peak);
+    /// equals `mem_attr_entries`.
     pub rib_attr_store_peak: u64,
     /// Export-policy results served from per-peer caches.
     pub rib_export_cache_hits: u64,
@@ -149,7 +150,7 @@ pub struct ExperimentReport {
     /// 0 where unavailable). Process-wide, so sweep batches sharing a
     /// process see the max across runs so far.
     pub mem_peak_rss_bytes: u64,
-    /// Distinct prefixes interned, summed over speakers.
+    /// Distinct prefixes in the run's prefix pool.
     pub mem_prefix_ids: u64,
     /// Distinct peer addresses interned, summed over speakers.
     pub mem_peer_ids: u64,

@@ -695,7 +695,7 @@ impl Runner {
             rib_candidate_touches: rib.candidate_touches,
             rib_attr_interns: rib.attr_interns,
             rib_attr_reuses: rib.attr_reuses,
-            rib_attr_store_peak: rib.attr_store_size,
+            rib_attr_store_peak: mem.2,
             rib_export_cache_hits: rib.export_cache_hits,
             rib_export_cache_misses: rib.export_cache_misses,
             mem_peak_rss_bytes: crate::report::peak_rss_bytes(),

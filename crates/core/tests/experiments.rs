@@ -151,3 +151,39 @@ fn fti_des_split_reflects_workload() {
         report.fti_fraction()
     );
 }
+
+#[test]
+fn bgp_memory_counters_read_the_run_pools() {
+    use horse_topo::fattree::{FatTree, SwitchRole};
+    use std::collections::BTreeSet;
+
+    // A BGP fat-tree's configured networks are its edges' host subnets.
+    let ft = FatTree::build(4, SwitchRole::BgpRouter, 1e9, 1_000);
+    let networks: BTreeSet<_> = ft.host_subnets.values().collect();
+    let run = |threads: usize| {
+        Experiment::demo(4, TeApproach::BgpEcmp, 42)
+            .horizon_secs(3.0)
+            .run_threads(threads)
+            .run()
+    };
+    let counters = |r: &horse_core::ExperimentReport| {
+        (
+            r.mem_prefix_ids,
+            r.mem_peer_ids,
+            r.mem_attr_entries,
+            r.rib_attr_store_peak,
+        )
+    };
+    let serial = run(1);
+    assert_eq!(
+        serial.mem_prefix_ids,
+        networks.len() as u64,
+        "the run's prefix pool holds each configured network once"
+    );
+    assert!(serial.mem_attr_entries > 0);
+    assert_eq!(
+        serial.rib_attr_store_peak, serial.mem_attr_entries,
+        "the attribute pool is counted once, not per speaker"
+    );
+    assert_eq!(counters(&serial), counters(&run(2)));
+}

@@ -34,7 +34,7 @@
 //! - [`FluidNetwork::all_link_loads`] / [`FluidNetwork::flows_on_link`]
 //!   are served from the maintained membership index.
 //!
-//! [`FluidNetwork::recompute_scoped`] partitions its seeds into
+//! `FluidNetwork::recompute_scoped` partitions its seeds into
 //! link-disjoint components and water-fills each component independently
 //! with reusable dense-id scratch (allocation-free in steady state).
 //! Components are independent subproblems, so with `run_threads > 1` they

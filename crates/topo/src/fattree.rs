@@ -183,8 +183,15 @@ impl FatTree {
     /// AS numbering: private range, `64512 + switch_index` where switches
     /// are numbered edges, aggs, cores in construction order — every switch
     /// gets a distinct AS so all equal-hop paths have equal AS-path length
-    /// and ECMP multipath applies.
+    /// and ECMP multipath applies. The 16-bit private range (64512–65534)
+    /// holds 1023 ASNs, so this panics above 1023 switches (k ≥ 30).
     pub fn bgp_setups(&self, timers: TimerConfig) -> BTreeMap<NodeId, BgpNodeSetup> {
+        let switches = self.edges.len() + self.aggs.len() + self.cores.len();
+        assert!(
+            switches <= 1023,
+            "private 16-bit ASN pool exhausted: k={} has {switches} switches, at most 1023 fit",
+            self.k
+        );
         let mut asn_of: BTreeMap<NodeId, u16> = BTreeMap::new();
         for (i, n) in self
             .edges
@@ -352,6 +359,32 @@ mod tests {
         let bgp = FatTree::build(4, SwitchRole::BgpRouter, 1e9, 0);
         assert_eq!(bgp.topo.nodes_of_kind(NodeKind::Router).len(), 20);
         assert_eq!(bgp.topo.nodes_of_kind(NodeKind::Switch).len(), 0);
+    }
+
+    fn bgp_tree_asns(k: usize) -> Vec<u16> {
+        let ft = FatTree::build(k, SwitchRole::BgpRouter, 1e9, 0);
+        let setups = ft.bgp_setups(TimerConfig {
+            hold_time: SimDuration::from_secs(9),
+            connect_retry: SimDuration::from_secs(1),
+            mrai: SimDuration::ZERO,
+        });
+        setups.values().map(|s| s.config.asn).collect()
+    }
+
+    #[test]
+    fn largest_bgp_tree_stays_in_the_private_asn_range() {
+        // k=28: 980 switches, the largest even k whose ASNs all fit.
+        let asns = bgp_tree_asns(28);
+        let distinct: std::collections::BTreeSet<u16> = asns.iter().copied().collect();
+        assert_eq!(distinct.len(), 980);
+        assert!(asns.iter().all(|&a| (64512..65535).contains(&a)));
+    }
+
+    #[test]
+    #[should_panic(expected = "k=30")]
+    fn bgp_tree_past_the_private_asn_range_panics() {
+        // k=30: 1125 switches would wrap past 65535 to ASN 0.
+        bgp_tree_asns(30);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Design points:
 //!
 //! * **Two timestamps per event.** Every [`TraceEvent`] carries the virtual
-//!   [`SimTime`] it describes *and* the wall-clock nanoseconds since the run
+//!   [`SimTime`](horse_sim::SimTime) it describes *and* the wall-clock nanoseconds since the run
 //!   epoch when it was recorded. Virtual time is deterministic (same seed ⇒
 //!   byte-identical semantic export); wall time shows where real CPU went.
 //! * **Preallocated ring buffers.** A [`RingSink`] allocates its capacity up

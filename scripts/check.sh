@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the full test suite.
+# Repo gate: formatting, lints, rustdoc links, and the full test suite.
 # Run from anywhere; operates on the whole workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
